@@ -33,8 +33,8 @@ from .potentials import (
     OnsPotential,
     PNormPotential,
     RegularizerDomain,
-    minimize_regularizer,
     potential_value,
+    solve_regularizer,
 )
 from .presets import (
     Preset,

@@ -301,12 +301,18 @@ def cmd_verify(args, parser) -> int:
     return 0
 
 
+_CURVE_COLUMNS = ("t", "cum_regret", "bound_prefix")
+
+
 def cmd_curves(args) -> int:
     out_rows = ["run,t,regret,bound"]
     for path in args.inputs:
         run_id = os.path.splitext(os.path.basename(path))[0]
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
+            missing = [c for c in _CURVE_COLUMNS if c not in (reader.fieldnames or ())]
+            if missing:
+                raise ValidationError(f"{path} lacks trace column(s) {', '.join(missing)}")
             for row in reader:
                 out_rows.append(
                     ",".join((run_id, row["t"], row["cum_regret"], row["bound_prefix"]))

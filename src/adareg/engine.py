@@ -7,10 +7,20 @@ takes a projected step
 
     x_{t+1} = Pi_X( x_t - H_t g_t )           (projection in the H_t^{-1} norm).
 
-The projection metric and the distance terms reported for analysis both
-use ``H_t^{-1}``.  A run records the full trajectory: iterates,
-gradients, losses, the regularizer sequence and the per-round potential
-values, which is what the verification oracles consume.
+The state keeps ``G_t`` only as far as its domain reads it (see
+:class:`adareg.potentials.Accumulator`).  The diagonal domain keeps a
+d-vector and the isotropic domain a scalar trace: their rounds step with
+``h * g`` or ``s * g`` and project by a clip, a radial scaling or a
+bisection on the diagonal metric, and never form a d x d matrix.  The
+full domain keeps the dense ``G_t`` and does one eigendecomposition per
+round; ``H_t``, ``H_t^{-1}`` and the ball or box projection all reuse
+its eigenvectors.  Dense ``SymmetricMatrix`` views of ``G_t`` and
+``H_t`` are built only when a caller asks for them.
+
+A run records the full trajectory: iterates, gradients, losses, the
+regularizer sequence and the per-round potential values, which is what
+the verification oracles consume.  The projection metric and the
+distance terms reported for analysis both use ``H_t^{-1}``.
 
 A degenerate start with ``G_0 = 0`` is allowed when the potential's
 value vanishes for arbitrarily large regularizers (the inverse-trace and
@@ -29,11 +39,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, SingularMatrixError, ValidationError
-from .linalg import SymmetricMatrix, min_eigenvalue, rank_one_update
+from .linalg import SymmetricMatrix, min_eigenvalue
 from .potentials import (
+    Accumulator,
     RegularizerDomain,
     RegularizerSolution,
     SpectralPotential,
+    accumulator_for,
     solve_regularizer,
 )
 from .sets import FeasibleSet, Unconstrained, minimize_quadratic_over_set, project
@@ -90,30 +102,35 @@ class AdaRegConfig:
 class AdaRegState:
     """Snapshot after round t: the iterate to play next and the accumulators.
 
-    ``h_mat`` is ``None`` while the regularizer is deferred (degenerate
-    start with zero accumulated gradient mass).
+    ``accumulator`` holds G_t in its domain's form and ``solution`` the
+    regularizer solved from it, ``None`` while deferred (degenerate start
+    with zero accumulated gradient mass).  ``g_mat`` and ``h_mat`` build
+    dense matrices when accessed.  ``g_mat`` is the accumulator as the
+    domain sees it: G_t for the full domain, ``diag(G_t)`` for the diagonal
+    one and ``(tr G_t / d) * I`` for the isotropic one.  ``h_mat`` is H_t,
+    or ``None`` while deferred.
     """
 
     t: int
     x: np.ndarray
-    g_mat: SymmetricMatrix
-    h_mat: Optional[SymmetricMatrix]
+    accumulator: Accumulator
+    solution: Optional[RegularizerSolution]
     config: AdaRegConfig
 
+    @property
+    def g_mat(self) -> SymmetricMatrix:
+        return self.accumulator.matrix()
 
-@dataclass(frozen=True)
-class _StepRecord:
-    """Per-round quantities the run loop stores for later verification."""
-
-    solution: Optional[RegularizerSolution]
-    g_spectrum: np.ndarray
+    @property
+    def h_mat(self) -> Optional[SymmetricMatrix]:
+        return None if self.solution is None else self.solution.h
 
 
-def _solve_or_defer(config: AdaRegConfig, g_mat: SymmetricMatrix):
+def _solve_or_defer(config: AdaRegConfig, acc: Accumulator) -> Optional[RegularizerSolution]:
     """Regularizer for the current accumulator, or None when deferred."""
-    if config.domain is RegularizerDomain.ISOTROPIC and g_mat.trace() <= 0.0:
+    if config.domain is RegularizerDomain.ISOTROPIC and acc.trace <= 0.0:
         return None
-    return solve_regularizer(config.potential, g_mat, config.domain)
+    return solve_regularizer(config.potential, acc, config.domain)
 
 
 def init(config: AdaRegConfig) -> AdaRegState:
@@ -123,8 +140,9 @@ def init(config: AdaRegConfig) -> AdaRegState:
     vanishes in the large-regularizer limit; the log-determinant family
     raises a configuration error because its bookkeeping term diverges.
     """
+    acc = accumulator_for(config.domain, config.g0)
     try:
-        solution = _solve_or_defer(config, config.g0)
+        solution = _solve_or_defer(config, acc)
     except SingularMatrixError as exc:
         if math.isinf(config.potential.phi_limit_at_inf):
             raise ConfigError(
@@ -132,46 +150,19 @@ def init(config: AdaRegConfig) -> AdaRegState:
                 "seed the accumulator with epsilon * I"
             ) from exc
         solution = None
-    h = solution.h if solution is not None else None
-    return AdaRegState(t=0, x=config.x1, g_mat=config.g0, h_mat=h, config=config)
-
-
-def initial_potential_value(config: AdaRegConfig) -> float:
-    """Phi(H_0), with the deferred case scored as the limiting value zero."""
-    solution = _solve_or_defer_checked(config)
-    return solution.phi_h if solution is not None else 0.0
-
-
-def _solve_or_defer_checked(config: AdaRegConfig):
-    try:
-        return _solve_or_defer(config, config.g0)
-    except SingularMatrixError:
-        if math.isinf(config.potential.phi_limit_at_inf):
-            raise
-        return None
-
-
-def _advance(state: AdaRegState, g: np.ndarray) -> tuple[AdaRegState, _StepRecord]:
-    config = state.config
-    g = np.asarray(g, dtype=float)
-    g_next = rank_one_update(state.g_mat, g)
-    d = config.dim
-    if config.domain is RegularizerDomain.ISOTROPIC and g_next.trace() <= 0.0:
-        new_state = AdaRegState(t=state.t + 1, x=state.x, g_mat=g_next, h_mat=None, config=config)
-        return new_state, _StepRecord(solution=None, g_spectrum=np.zeros(d))
-    solution = solve_regularizer(config.potential, g_next, config.domain)
-    move = state.x - solution.h.mat @ g
-    x_next = project(move, config.feasible_set, solution.h_inv)
-    new_state = AdaRegState(
-        t=state.t + 1, x=x_next, g_mat=g_next, h_mat=solution.h, config=config
-    )
-    return new_state, _StepRecord(solution=solution, g_spectrum=solution.g_spectrum)
+    return AdaRegState(t=0, x=config.x1, accumulator=acc, solution=solution, config=config)
 
 
 def step(state: AdaRegState, g: np.ndarray) -> AdaRegState:
     """One round: fold g into the accumulator, reselect H, take the projected step."""
-    new_state, _ = _advance(state, g)
-    return new_state
+    config = state.config
+    g = np.asarray(g, dtype=float)
+    acc = state.accumulator.add(g)
+    solution = _solve_or_defer(config, acc)
+    x_next = state.x
+    if solution is not None:
+        x_next = project(state.x - solution.apply(g), config.feasible_set, solution.metric)
+    return AdaRegState(t=state.t + 1, x=x_next, accumulator=acc, solution=solution, config=config)
 
 
 def mirror_step_argmin(
@@ -255,12 +246,15 @@ def run(config: AdaRegConfig, problem, horizon: int) -> RunResult:
         raise ValidationError(f"horizon must be at least 1, got {horizon}")
     d = config.dim
     state = init(config)
-    phi_h0 = initial_potential_value(config)
+    phi_h0 = state.solution.phi_h if state.solution is not None else 0.0
     xs = np.empty((horizon + 1, d))
     gradients = np.empty((horizon, d))
     losses = np.empty(horizon)
-    hs = np.full((horizon, d, d), np.nan)
-    h_invs = np.full((horizon, d, d), np.nan)
+    hs = np.zeros((horizon, d, d))
+    h_invs = np.zeros((horizon, d, d))
+    # Row-by-row views of the diagonals, where diagonal regularizers are written.
+    hs_diag = hs.reshape(horizon, d * d)[:, :: d + 1]
+    h_invs_diag = h_invs.reshape(horizon, d * d)[:, :: d + 1]
     h_defined = np.zeros(horizon, dtype=bool)
     phis = np.zeros(horizon)
     ghs = np.zeros(horizon)
@@ -268,18 +262,26 @@ def run(config: AdaRegConfig, problem, horizon: int) -> RunResult:
     xs[0] = state.x
     for t in range(1, horizon + 1):
         loss, g = problem.loss_and_gradient(t, state.x)
-        state, record = _advance(state, g)
+        state = step(state, g)
         i = t - 1
         losses[i] = loss
         gradients[i] = g
         xs[t] = state.x
-        g_spectra[i] = record.g_spectrum
-        if record.solution is not None:
-            h_defined[i] = True
-            hs[i] = record.solution.h.mat
-            h_invs[i] = record.solution.h_inv.mat
-            phis[i] = record.solution.phi_h
-            ghs[i] = record.solution.g_dot_h
+        solution = state.solution
+        if solution is None:
+            hs[i] = np.nan
+            h_invs[i] = np.nan
+            continue
+        h_defined[i] = True
+        if solution.basis is None:
+            hs_diag[i] = solution.h_spectrum
+            h_invs_diag[i] = solution.h_inv_spectrum
+        else:
+            hs[i] = solution.dense()
+            h_invs[i] = solution.dense(inverse=True)
+        phis[i] = solution.phi_h
+        ghs[i] = solution.g_dot_h
+        g_spectra[i] = solution.g_spectrum
     return RunResult(
         config=config,
         xs=xs,

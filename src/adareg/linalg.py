@@ -85,14 +85,23 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
+    def dense(self) -> np.ndarray:
+        """U diag(lam) U^T as a plain array, symmetrized as SymmetricMatrix stores it."""
+        u = self.eigenvectors
+        a = u @ (self.eigenvalues[:, None] * u.T)
+        return (a + a.T) / 2.0
+
     def reconstruct(self) -> SymmetricMatrix:
-        u, lam = self.eigenvectors, self.eigenvalues
-        return SymmetricMatrix(u @ (lam[:, None] * u.T))
+        return SymmetricMatrix(self.dense())
 
 
-def eig_sym(a: SymmetricMatrix) -> SpectralDecomposition:
-    """Full eigendecomposition of a symmetric matrix, eigenvalues descending."""
-    lam, u = np.linalg.eigh(a.mat)
+def eig_sym(a) -> SpectralDecomposition:
+    """Full eigendecomposition of a symmetric matrix, eigenvalues descending.
+
+    ``a`` is a :class:`SymmetricMatrix` or a plain array the caller already
+    knows to be symmetric.
+    """
+    lam, u = np.linalg.eigh(a.mat if isinstance(a, SymmetricMatrix) else a)
     order = slice(None, None, -1)
     return SpectralDecomposition(
         eigenvalues=np.ascontiguousarray(lam[order]),
@@ -107,7 +116,7 @@ def clamp_spectrum(lam: np.ndarray) -> np.ndarray:
     treated as exact zeros.  More negative values are kept as-is so genuine
     indefiniteness still surfaces downstream.
     """
-    scale = max(1.0, float(np.max(np.abs(lam))) if lam.size else 1.0)
+    scale = max(1.0, float(np.abs(lam).max()) if lam.size else 1.0)
     out = lam.copy()
     out[(out > -EIG_CLAMP_RTOL * scale) & (out < 0.0)] = 0.0
     return out

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ValidationError
-from .linalg import SymmetricMatrix, eig_sym
+from .linalg import SpectralDecomposition, SymmetricMatrix, eig_sym
 
 _INSIDE_RTOL = 1e-12
 
@@ -174,8 +174,8 @@ class Box(FeasibleSet):
 
     def contains(self, x, tol=1e-9):
         x = np.asarray(x, dtype=float)
-        width = max(1.0, float(np.max(self.upper - self.lower)))
-        return bool(np.all(x >= self.lower - tol * width) and np.all(x <= self.upper + tol * width))
+        width = max(1.0, float((self.upper - self.lower).max()))
+        return bool((x >= self.lower - tol * width).all() and (x <= self.upper + tol * width).all())
 
     def diameter(self, norm="euclidean"):
         if norm == "euclidean":
@@ -197,35 +197,60 @@ class Box(FeasibleSet):
         return True
 
 
-def project(x: np.ndarray, fset: FeasibleSet, h: SymmetricMatrix) -> np.ndarray:
+def project(x: np.ndarray, fset: FeasibleSet, h) -> np.ndarray:
     """Projection of x onto the set under the norm |v|_H, H positive definite.
 
-    Points already in the set are returned unchanged.  The result minimizes
-    ``|x' - x|_H`` over the set to an objective gap below 1e-8.
+    ``h`` is the metric H in one of three forms: a :class:`SymmetricMatrix`;
+    its :class:`SpectralDecomposition`, so a caller that already holds the
+    eigenbasis (the engine's full-domain rounds) saves a second one; or a
+    1-D array holding the entries of a diagonal metric.  Points already in
+    the set are returned unchanged.  The result minimizes ``|x' - x|_H``
+    over the set to an objective gap below 1e-8.
     """
     x = np.asarray(x, dtype=float)
     if isinstance(fset, Unconstrained):
         return x
-    if x.shape != (fset.dim,) or h.dim != fset.dim:
+    if x.shape != (fset.dim,) or _metric_dim(h) != fset.dim:
         raise ValidationError("projection input dimensions do not match the set")
     if fset.contains(x, tol=_INSIDE_RTOL):
         return x
     if isinstance(fset, Ball):
-        return _project_ball(x, fset, h)
+        if isinstance(h, np.ndarray):
+            return _project_ball(x, fset, h, None)
+        dec = h if isinstance(h, SpectralDecomposition) else eig_sym(h)
+        return _project_ball(x, fset, dec.eigenvalues, dec.eigenvectors)
     if isinstance(fset, Box):
-        return _project_box(x, fset, h)
+        if isinstance(h, np.ndarray):
+            return _clip(x, fset, h)
+        if isinstance(h, SpectralDecomposition):
+            return _project_box(x, fset, h.dense(), h.eigenvalues)
+        return _project_box(x, fset, h.mat, None)
     raise ValidationError(f"unsupported feasible set {type(fset).__name__}")
 
 
-def _project_ball(x: np.ndarray, ball: Ball, h: SymmetricMatrix) -> np.ndarray:
-    dec = eig_sym(h)
-    lam = dec.eigenvalues
-    if lam[-1] <= 0.0:
+def _metric_dim(h) -> int:
+    if isinstance(h, SymmetricMatrix):
+        return h.dim
+    if isinstance(h, SpectralDecomposition):
+        return h.eigenvalues.shape[0]
+    if isinstance(h, np.ndarray) and h.ndim == 1:
+        return h.shape[0]
+    raise ValidationError(
+        "projection metric must be a SymmetricMatrix, a SpectralDecomposition "
+        "or the 1-D diagonal of a diagonal metric"
+    )
+
+
+def _project_ball(x: np.ndarray, ball: Ball, lam: np.ndarray, u: Optional[np.ndarray]):
+    """Weighted ball projection for the metric U diag(lam) U' (U = I when ``u`` is None)."""
+    lam_max = float(lam.max())
+    lam_min = float(lam.min())
+    if lam_min <= 0.0:
         raise DomainError(
-            f"projection metric must be positive definite; smallest eigenvalue {lam[-1]:.3e}"
+            f"projection metric must be positive definite; smallest eigenvalue {lam_min:.3e}"
         )
     v = x - ball.center
-    if lam[0] - lam[-1] <= 1e-14 * lam[0]:
+    if lam_max - lam_min <= 1e-14 * lam_max:
         # Isotropic metric: weighted projection coincides with radial scaling.
         return ball.center + (ball.radius / float(np.linalg.norm(v))) * v
     # Work in the eigenbasis: the KKT conditions for
@@ -233,13 +258,13 @@ def _project_ball(x: np.ndarray, ball: Ball, h: SymmetricMatrix) -> np.ndarray:
     # give y - c = (H + mu I)^{-1} H (x - c) for a multiplier mu >= 0 chosen
     # so the constraint is active.  The constraint value is strictly
     # decreasing in mu, so a bracketing bisection is safe.
-    w = dec.eigenvectors.T @ v
+    w = v if u is None else u.T @ v
 
     def constraint(mu: float) -> float:
         z = lam * w / (lam + mu)
         return float(z @ z) - ball.radius**2
 
-    lo, hi = 0.0, max(lam[0], 1.0)
+    lo, hi = 0.0, max(lam_max, 1.0)
     for _ in range(200):
         if constraint(hi) < 0.0:
             break
@@ -255,35 +280,45 @@ def _project_ball(x: np.ndarray, ball: Ball, h: SymmetricMatrix) -> np.ndarray:
         else:
             hi = mid
     mu = 0.5 * (lo + hi)
-    y = ball.center + dec.eigenvectors @ (lam * w / (lam + mu))
-    return y
+    z = lam * w / (lam + mu)
+    return ball.center + (z if u is None else u @ z)
 
 
-def _project_box(x: np.ndarray, box: Box, h: SymmetricMatrix) -> np.ndarray:
-    hm = h.mat
+def _clip(x: np.ndarray, box: Box, diag: np.ndarray) -> np.ndarray:
+    if (diag <= 0.0).any():
+        raise DomainError("projection metric must be positive definite")
+    # Diagonal metric: the objective separates per coordinate, so the
+    # weighted projection is the plain clip regardless of the weights.
+    return np.clip(x, box.lower, box.upper)
+
+
+def _project_box(x: np.ndarray, box: Box, hm: np.ndarray, lam: Optional[np.ndarray]):
+    """Weighted box projection for the dense metric ``hm``, whose spectrum ``lam`` may be known."""
     off_diag = hm[~np.eye(box.dim, dtype=bool)]
     if np.count_nonzero(off_diag) == 0:
-        if np.any(np.diag(hm) <= 0.0):
-            raise DomainError("projection metric must be positive definite")
-        # Diagonal metric: the objective separates per coordinate, so the
-        # weighted projection is the plain clip regardless of the weights.
-        return np.clip(x, box.lower, box.upper)
-    return _projected_newton_box(x, box, h)
+        return _clip(x, box, np.diag(hm))
+    if lam is None:
+        lam = np.linalg.eigvalsh(hm)
+    return _projected_newton_box(x, box, hm, float(np.min(lam)), float(np.max(lam)))
 
 
 def _projected_newton_box(
-    x: np.ndarray, box: Box, h: SymmetricMatrix, max_iter: int = 500, gap_tol: float = 1e-10
+    x: np.ndarray,
+    box: Box,
+    hm: np.ndarray,
+    lam_min: float,
+    lam_max: float,
+    max_iter: int = 500,
+    gap_tol: float = 1e-10,
 ) -> np.ndarray:
     """Bertsekas-style projected Newton for min 1/2 (y-x)' H (y-x) over a box."""
-    hm = h.mat
-    lam = np.linalg.eigvalsh(hm)
-    if lam[0] <= 0.0:
+    if lam_min <= 0.0:
         raise DomainError(
-            f"projection metric must be positive definite; smallest eigenvalue {lam[0]:.3e}"
+            f"projection metric must be positive definite; smallest eigenvalue {lam_min:.3e}"
         )
     lo, hi = box.lower, box.upper
     y = np.clip(x, lo, hi)
-    scale = max(1.0, float(np.max(np.abs(x))), float(lam[-1]))
+    scale = max(1.0, float(np.max(np.abs(x))), lam_max)
     band = 1e-10 * np.maximum(1.0, hi - lo)
     for it in range(max_iter):
         grad = hm @ (y - x)

@@ -24,7 +24,7 @@ from .potentials import (
     OnsPotential,
     PNormPotential,
     RegularizerDomain,
-    minimize_regularizer,
+    solve_regularizer,
 )
 from .problems import best_fixed_comparator, make_problem, regret
 from .sets import Ball, Box
@@ -119,7 +119,7 @@ def argmin_suite(trials: int = 50, seed: int = 0, tol: float = 1e-4) -> List[Fai
                 dim = 2 + i % 4
                 potential = make_potential(rng)
                 g_mat = random_pd_matrix(rng, dim)
-                closed = minimize_regularizer(potential, g_mat, domain)
+                closed = solve_regularizer(potential, g_mat, domain).h
                 try:
                     numeric = oracles.numeric_potential_argmin(potential, g_mat, domain)
                 except Exception as exc:  # noqa: BLE001 - suite reports, not raises

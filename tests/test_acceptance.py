@@ -32,7 +32,7 @@ from adareg.potentials import (
     OnsPotential,
     PNormPotential,
     RegularizerDomain,
-    minimize_regularizer,
+    solve_regularizer,
 )
 from adareg.presets import (
     adagrad_diag,
@@ -77,7 +77,7 @@ def test_01_closed_form_vs_numeric_argmin():
             for _ in range(50):
                 dim = int(rng.integers(2, 6))
                 g = random_pd(rng, dim)
-                closed = minimize_regularizer(potential, g, domain)
+                closed = solve_regularizer(potential, g, domain).h
                 numeric = numeric_potential_argmin(potential, g, domain)
                 err = np.linalg.norm(numeric.mat - closed.mat) / np.linalg.norm(closed.mat)
                 worst = max(worst, err)

@@ -174,6 +174,16 @@ class TestCurves:
         assert tags == {"first", "second"}
         assert len(rows) == 1 + 2 * 40
 
+    def test_missing_columns_are_a_usage_error(self, tmp_path, capsys):
+        src = tmp_path / "other.csv"
+        src.write_text("t,loss\n1,0.5\n")
+        out = tmp_path / "curves.csv"
+        assert run_cli("curves", "--in", str(src), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:")
+        assert str(src) in err and "cum_regret, bound_prefix" in err
+        assert not out.exists()
+
     def test_bound_column_monotone_for_adagrad(self, tmp_path):
         _, src = quick_run(tmp_path)
         out = tmp_path / "curves.csv"

@@ -4,19 +4,13 @@ import pytest
 from adareg.engine import (
     AdaRegConfig,
     init,
-    initial_potential_value,
     mirror_step_argmin,
     run,
     step,
 )
 from adareg.errors import ConfigError
 from adareg.linalg import SymmetricMatrix, matrix_power_psd, min_eigenvalue, psd_geq
-from adareg.potentials import (
-    AdaGradPotential,
-    OnsPotential,
-    RegularizerDomain,
-    minimize_regularizer,
-)
+from adareg.potentials import AdaGradPotential, OnsPotential, RegularizerDomain
 from adareg.presets import adagrad_full, adaptive_ogd, make_preset, sc_ogd
 from adareg.problems import OnlineProblem, make_problem
 from adareg.sets import Ball, Unconstrained
@@ -97,7 +91,8 @@ class TestInit:
         cfg = unconstrained_config(2, AdaGradPotential(eta=1.0), RegularizerDomain.ISOTROPIC, 0.0)
         state = init(cfg)
         assert state.h_mat is None
-        assert initial_potential_value(cfg) == 0.0
+        problem = OneShotProblem(2, cfg.feasible_set, np.array([1.0, 0.0]))
+        assert run(cfg, problem, 1).phi_h0 == 0.0
 
     def test_ons_zero_start_is_a_config_error(self):
         cfg = unconstrained_config(2, OnsPotential(beta=1.0), RegularizerDomain.FULL, 0.0)

@@ -30,7 +30,7 @@ from adareg.potentials import (
     OnsPotential,
     PNormPotential,
     RegularizerDomain,
-    minimize_regularizer,
+    solve_regularizer,
 )
 from adareg.presets import adagrad_full, optimal_pnorm_eta
 from adareg.problems import best_fixed_comparator, make_problem, regret
@@ -159,7 +159,7 @@ class TestNumericArgmin:
         for _ in range(5):
             dim = int(rng.integers(2, 6))
             g = random_pd(rng, dim)
-            closed = minimize_regularizer(potential, g, domain)
+            closed = solve_regularizer(potential, g, domain).h
             numeric = numeric_potential_argmin(potential, g, domain)
             err = np.linalg.norm(numeric.mat - closed.mat) / np.linalg.norm(closed.mat)
             assert err <= 1e-4

@@ -8,7 +8,6 @@ from adareg.potentials import (
     OnsPotential,
     PNormPotential,
     RegularizerDomain,
-    minimize_regularizer,
     potential_value,
     solve_regularizer,
 )
@@ -71,30 +70,30 @@ class TestPotentialValue:
 class TestClosedForms:
     def test_adagrad_diagonal_g(self):
         g = SymmetricMatrix.from_diagonal([4.0, 9.0])
-        h = minimize_regularizer(AdaGradPotential(eta=1.0), g, RegularizerDomain.FULL)
+        h = solve_regularizer(AdaGradPotential(eta=1.0), g, RegularizerDomain.FULL).h
         np.testing.assert_allclose(h.mat, np.diag([0.5, 1.0 / 3.0]), atol=1e-12)
 
     def test_ons_identity_g(self):
-        h = minimize_regularizer(OnsPotential(beta=1.0), SymmetricMatrix.identity(2),
-                                 RegularizerDomain.FULL)
+        h = solve_regularizer(OnsPotential(beta=1.0), SymmetricMatrix.identity(2),
+                              RegularizerDomain.FULL).h
         np.testing.assert_allclose(h.mat, np.eye(2), atol=1e-12)
 
     def test_adagrad_isotropic(self):
         g = SymmetricMatrix.from_diagonal([1.0, 3.0])
-        h = minimize_regularizer(AdaGradPotential(eta=1.0), g, RegularizerDomain.ISOTROPIC)
+        h = solve_regularizer(AdaGradPotential(eta=1.0), g, RegularizerDomain.ISOTROPIC).h
         np.testing.assert_allclose(h.mat, np.eye(2) / np.sqrt(2.0), atol=1e-9)
 
     def test_pnorm_p1_coincides_with_adagrad(self, rng):
         g = random_pd(rng, 4)
         for domain in ALL_DOMAINS:
-            h_ada = minimize_regularizer(AdaGradPotential(eta=0.8), g, domain)
-            h_p1 = minimize_regularizer(PNormPotential(eta=0.8, p=1.0), g, domain)
+            h_ada = solve_regularizer(AdaGradPotential(eta=0.8), g, domain).h
+            h_p1 = solve_regularizer(PNormPotential(eta=0.8, p=1.0), g, domain).h
             np.testing.assert_allclose(h_p1.mat, h_ada.mat, atol=1e-12)
 
     def test_singular_g_raises(self):
         g = SymmetricMatrix.from_diagonal([1.0, 0.0])
         with pytest.raises(SingularMatrixError):
-            minimize_regularizer(AdaGradPotential(eta=1.0), g, RegularizerDomain.FULL)
+            solve_regularizer(AdaGradPotential(eta=1.0), g, RegularizerDomain.FULL)
 
     def test_solution_carries_matching_inverse(self, rng):
         g = random_pd(rng, 4)
@@ -110,7 +109,7 @@ class TestFirstOrderOptimality:
         # at the minimum the gradient of the objective vanishes: G = phi'(H)
         for pot in make_potentials():
             g = random_pd(rng, 5)
-            h = minimize_regularizer(pot, g, RegularizerDomain.FULL)
+            h = solve_regularizer(pot, g, RegularizerDomain.FULL).h
             phi_prime_h = apply_scalar_fn(h, pot.phi_prime)
             gap = np.linalg.norm(g.mat - phi_prime_h.mat)
             assert gap <= 1e-6 * np.linalg.norm(g.mat)
@@ -118,7 +117,7 @@ class TestFirstOrderOptimality:
     def test_full_domain_perturbation_optimality(self, rng):
         pot = AdaGradPotential(eta=1.0)
         g = random_pd(rng, 4)
-        h = minimize_regularizer(pot, g, RegularizerDomain.FULL)
+        h = solve_regularizer(pot, g, RegularizerDomain.FULL).h
         base = objective(pot, g, h)
         scale = np.linalg.norm(h.mat)
         for _ in range(100):
@@ -131,7 +130,7 @@ class TestFirstOrderOptimality:
     def test_diagonal_domain_perturbation_optimality(self, rng):
         pot = OnsPotential(beta=1.5)
         g = random_pd(rng, 4)
-        h = minimize_regularizer(pot, g, RegularizerDomain.DIAGONAL)
+        h = solve_regularizer(pot, g, RegularizerDomain.DIAGONAL).h
         base = objective(pot, g, h)
         diag = np.diag(h.mat)
         for _ in range(100):
@@ -144,7 +143,7 @@ class TestFirstOrderOptimality:
     def test_isotropic_domain_perturbation_optimality(self, rng):
         pot = PNormPotential(eta=1.2, p=2.0)
         g = random_pd(rng, 3)
-        h = minimize_regularizer(pot, g, RegularizerDomain.ISOTROPIC)
+        h = solve_regularizer(pot, g, RegularizerDomain.ISOTROPIC).h
         base = objective(pot, g, h)
         m = h.mat[0, 0]
         for _ in range(100):
@@ -155,13 +154,13 @@ class TestFirstOrderOptimality:
 class TestStructure:
     def test_diagonal_output_is_exactly_diagonal(self, rng):
         g = random_pd(rng, 5)
-        h = minimize_regularizer(AdaGradPotential(eta=1.0), g, RegularizerDomain.DIAGONAL)
+        h = solve_regularizer(AdaGradPotential(eta=1.0), g, RegularizerDomain.DIAGONAL).h
         off = h.mat - np.diag(np.diag(h.mat))
         np.testing.assert_array_equal(off, np.zeros((5, 5)))
 
     def test_isotropic_output_is_scalar_matrix(self, rng):
         g = random_pd(rng, 5)
-        h = minimize_regularizer(OnsPotential(beta=0.9), g, RegularizerDomain.ISOTROPIC)
+        h = solve_regularizer(OnsPotential(beta=0.9), g, RegularizerDomain.ISOTROPIC).h
         d = np.diag(h.mat)
         assert np.max(np.abs(d - d[0])) <= 1e-12
         assert np.max(np.abs(h.mat - np.diag(d))) == 0.0
@@ -171,6 +170,6 @@ class TestStructure:
         for pot in make_potentials():
             g = random_pd(rng, 4)
             bigger = SymmetricMatrix(g.mat + random_pd(rng, 4).mat)
-            h_small_g = minimize_regularizer(pot, g, RegularizerDomain.FULL)
-            h_big_g = minimize_regularizer(pot, bigger, RegularizerDomain.FULL)
+            h_small_g = solve_regularizer(pot, g, RegularizerDomain.FULL).h
+            h_big_g = solve_regularizer(pot, bigger, RegularizerDomain.FULL).h
             assert psd_geq(h_small_g, h_big_g, tol=1e-8)
