@@ -41,6 +41,7 @@ from .presets import (
     adagrad_diag,
     adagrad_full,
     adaptive_ogd,
+    build_preset,
     make_preset,
     ons_diag,
     ons_full,

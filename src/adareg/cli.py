@@ -9,11 +9,12 @@ Subcommands:
 * ``curves`` merge run CSVs into a tidy (run, t, regret, bound) table;
 * ``list``   show registered algorithms, problems and suites.
 
-Exit codes: 0 success, 1 verification or certificate failure, 2 usage
-error.  Numeric CSV fields are rendered with 17 significant digits and
-all file writes go through a temp-file-and-rename so readers never see
-partial output.  The environment variable ``ADAREG_THREADS`` caps the
-thread count used by the bounds verification sweep.
+Exit codes: 0 success, 1 verification or certificate failure (or an I/O
+error), 2 usage error, 3 internal numerical failure (no convergence, a
+value outside a domain, a singular matrix), printed as ``error: ...``
+without a traceback.  Numeric CSV fields are rendered with 17 significant
+digits and all file writes go through a temp-file-and-rename so readers
+never see partial output.
 """
 
 from __future__ import annotations
@@ -35,9 +36,12 @@ from .oracles import bound_prefix_series, regret_bound
 from .problems import PROBLEM_FAMILIES, best_fixed_comparator, make_problem, regret
 from .sets import Ball, Box, Unconstrained
 
+# Run flags that override a preset parameter or a problem constant.
+_PRESET_FLAGS = ("epsilon", "eta", "beta", "p", "alpha", "gamma")
+
 _RUN_KEYS = {
     "algo", "problem", "dim", "horizon", "seed", "set", "radius", "lower", "upper",
-    "diameter", "out", "summary_out", "epsilon", "eta", "beta", "p", "alpha", "gamma",
+    "diameter", "out", "summary_out", *_PRESET_FLAGS,
 }
 
 
@@ -76,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--diameter", type=float, help="declared diameter for --set none")
     p_run.add_argument("--out", help="per-round CSV output path")
     p_run.add_argument("--summary-out", dest="summary_out", help="also write the summary here")
-    for flag in ("epsilon", "eta", "beta", "p", "alpha", "gamma"):
+    for flag in _PRESET_FLAGS:
         p_run.add_argument(f"--{flag}", type=float)
 
     p_verify = sub.add_parser("verify", help="run verification suites")
@@ -137,70 +141,6 @@ def _build_set(args):
     return Unconstrained(dim=d, declared_euclidean_diameter=args.diameter)
 
 
-def _build_preset(args, fset, problem):
-    algo = args.algo
-    if algo == "adagrad-full":
-        kw = {"epsilon": args.epsilon} if args.epsilon is not None else {}
-        return presets.adagrad_full(fset, **kw) if args.eta is None else presets.Preset(
-            algo, _custom_adagrad(fset, args.eta, args.epsilon, "full"),
-            {"b": fset.diameter("euclidean")},
-        )
-    if algo == "adagrad-diag":
-        kw = {"epsilon": args.epsilon} if args.epsilon is not None else {}
-        return presets.adagrad_diag(fset, **kw) if args.eta is None else presets.Preset(
-            algo, _custom_adagrad(fset, args.eta, args.epsilon, "diagonal"),
-            {"b_inf": fset.diameter("infinity")},
-        )
-    if algo == "adaptive-ogd":
-        return presets.adaptive_ogd(fset, c=args.eta)
-    if algo == "pnorm":
-        p = args.p if args.p is not None else 2.0
-        eta = args.eta
-        if eta is None and problem.oblivious and args.horizon:
-            spectrum = suites.oblivious_final_spectrum(
-                problem, fset, args.horizon, p,
-                epsilon=args.epsilon if args.epsilon is not None else presets.DEFAULT_EPSILON,
-            )
-            eta = presets.optimal_pnorm_eta(fset.diameter("euclidean"), p, spectrum)
-        kw = {"epsilon": args.epsilon} if args.epsilon is not None else {}
-        return presets.pnorm(fset, p=p, eta=eta, **kw)
-    if algo in ("ons-full", "ons-diag"):
-        beta = args.beta
-        if beta is None:
-            beta = problem.beta if algo == "ons-full" else problem.beta_coo
-        if beta is None:
-            raise ValidationError(
-                f"{algo} needs --beta (the problem declares no exp-concavity constant)"
-            )
-        builder = presets.ons_full if algo == "ons-full" else presets.ons_diag
-        return builder(fset, beta=beta, gamma=problem.gamma)
-    if algo == "sc-ogd":
-        alpha = args.alpha if args.alpha is not None else problem.alpha
-        if alpha is None:
-            raise ValidationError(
-                "sc-ogd needs --alpha (the problem declares no strong-convexity constant)"
-            )
-        gamma = args.gamma if args.gamma is not None else problem.gamma
-        return presets.sc_ogd(fset, alpha=alpha, gamma=gamma)
-    raise ValidationError(f"unknown algorithm {algo!r}")
-
-
-def _custom_adagrad(fset, eta, epsilon, domain_name):
-    from .engine import AdaRegConfig
-    from .linalg import SymmetricMatrix
-    from .potentials import AdaGradPotential, RegularizerDomain
-
-    eps = epsilon if epsilon is not None else presets.DEFAULT_EPSILON
-    return AdaRegConfig(
-        potential=AdaGradPotential(eta=eta),
-        domain=RegularizerDomain(domain_name),
-        feasible_set=fset,
-        x1=fset.center_point(),
-        g0=SymmetricMatrix.identity(fset.dim, eps),
-        epsilon=eps,
-    )
-
-
 def cmd_run(args, parser) -> int:
     for flag in ("algo", "problem", "horizon", "out"):
         if getattr(args, flag) is None:
@@ -215,14 +155,15 @@ def cmd_run(args, parser) -> int:
     if args.problem == "adv-linear" and args.gamma is not None:
         problem_kwargs["gamma"] = args.gamma
     problem = make_problem(args.problem, args.dim, args.seed, fset, **problem_kwargs)
-    preset = _build_preset(args, fset, problem)
+    preset = presets.build_preset(
+        args.algo, fset, problem, horizon=args.horizon,
+        **{flag: getattr(args, flag) for flag in _PRESET_FLAGS},
+    )
     result = engine_run(preset.config, problem, args.horizon)
     x_star, flat = best_fixed_comparator(problem, args.horizon)
     record = regret(result, problem, x_star)
-    params = dict(preset.bound_params)
-    params.setdefault("gamma", problem.gamma)
-    cert = regret_bound(preset.algo_id, params, result, record.final_regret)
-    prefix_bounds = bound_prefix_series(preset.algo_id, params, result)
+    cert = regret_bound(preset.algo_id, preset.bound_params, result, record.final_regret)
+    prefix_bounds = bound_prefix_series(preset.algo_id, preset.bound_params, result)
 
     lines = ["t,loss,cum_loss,cum_regret,delta_t,bound_prefix"]
     cum_loss = np.cumsum(result.losses)
@@ -276,18 +217,9 @@ def cmd_verify(args, parser) -> int:
     if args.trials is not None and args.trials < 1:
         parser.error("--trials must be a positive integer")
     names = suites.SUITE_NAMES if args.suite == "all" else (args.suite,)
-    threads = 1
-    env_threads = os.environ.get("ADAREG_THREADS")
-    if env_threads:
-        try:
-            threads = max(1, int(env_threads))
-        except ValueError:
-            print(f"ignoring non-integer ADAREG_THREADS={env_threads!r}", file=sys.stderr)
     total_failures = []
     for name in names:
-        kwargs = {}
-        if name == "bounds":
-            kwargs = {"fault": args.inject_fault, "threads": threads}
+        kwargs = {"fault": args.inject_fault} if name == "bounds" else {}
         failures = suites.run_suite(name, trials=args.trials, seed=args.seed, **kwargs)
         status = "ok" if not failures else f"{len(failures)} failure(s)"
         print(f"suite {name}: {status}")
@@ -350,7 +282,7 @@ def main(argv=None) -> int:
         return 2
     except AdaRegError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 3
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1

@@ -32,6 +32,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, ValidationError
 from .linalg import SymmetricMatrix, clamp_spectrum
 from .potentials import RegularizerDomain, SpectralPotential, potential_value
+from .presets import ALGORITHMS, algorithm_spec
 from .problems import best_fixed_comparator
 from .sets import Box, FeasibleSet, project
 
@@ -355,15 +356,7 @@ def numeric_potential_argmin(
 # Regret-bound formulas and certificates
 # ---------------------------------------------------------------------------
 
-BOUND_ALGO_IDS = (
-    "adagrad-full",
-    "adagrad-diag",
-    "adaptive-ogd",
-    "pnorm",
-    "ons-full",
-    "ons-diag",
-    "sc-ogd",
-)
+BOUND_ALGO_IDS = tuple(ALGORITHMS)
 
 CERT_RTOL = 1e-6
 
@@ -379,53 +372,36 @@ class BoundCertificate:
     params: dict = field(default_factory=dict)
 
 
+def _prefix_bounds(algo_id, params, run_result, rows) -> np.ndarray:
+    """The guarantee at the prefixes ``rows`` selects, from the statistic it reads."""
+    spec = algorithm_spec(algo_id)
+    if spec.reads == "spectra":
+        values = run_result.g_spectra[rows]
+    elif spec.reads == "sum_sq":
+        values = run_result.sum_sq_gradients()[rows]
+    else:
+        values = np.arange(1.0, run_result.horizon + 1.0)[rows]
+    return spec.bound(params, values)
+
+
 def bound_value(algo_id, params, g_spectrum=None, sum_sq_grads=None, horizon=None) -> float:
-    """Evaluate the closed-form regret guarantee for one algorithm.
+    """Evaluate the closed-form regret guarantee for one algorithm at one prefix.
 
     ``g_spectrum`` is the spectrum of the final accumulator (eigenvalues
     for full domains, diagonal entries for diagonal ones);
     ``sum_sq_grads`` the sum of squared gradient norms; ``horizon`` the
-    number of rounds.  Only the inputs the formula needs are required.
+    number of rounds.  Only the input the formula reads is required.
     """
-    if algo_id == "adagrad-full":
-        return math.sqrt(2.0) * params["b"] * float(np.sum(np.sqrt(_spec(g_spectrum))))
-    if algo_id == "adagrad-diag":
-        return math.sqrt(2.0) * params["b_inf"] * float(np.sum(np.sqrt(_spec(g_spectrum))))
-    if algo_id == "adaptive-ogd":
-        return math.sqrt(2.0) * params["b"] * math.sqrt(float(sum_sq_grads))
-    if algo_id == "pnorm":
-        p = params["p"]
-        lam = _spec(g_spectrum)
-        t1 = float(np.sum(lam ** (1.0 / (p + 1.0))))
-        t2 = float(np.sum(lam ** (p / (p + 1.0))))
-        return params["b"] * math.sqrt((p + 1.0) / p * t1 * t2)
-    if algo_id in ("ons-full", "ons-diag"):
-        beta, gamma, b, d = params["beta"], params["gamma"], params["b"], params["d"]
-        return d / beta * (1.0 + math.log((beta * gamma * b) ** 2 * horizon / d))
-    if algo_id == "sc-ogd":
-        return params["gamma"] ** 2 / params["alpha"] * (8.0 + math.log(horizon))
-    raise ValidationError(f"no bound formula for algorithm {algo_id!r}")
-
-
-def _spec(g_spectrum) -> np.ndarray:
-    if g_spectrum is None:
-        raise ValidationError("this bound needs the accumulator spectrum")
-    lam = clamp_spectrum(np.asarray(g_spectrum, dtype=float).copy())
-    if np.any(lam < 0):
-        raise DomainError("accumulator spectrum must be nonnegative")
-    return lam
+    spec = algorithm_spec(algo_id)
+    value = {"spectra": g_spectrum, "sum_sq": sum_sq_grads, "horizons": horizon}[spec.reads]
+    if value is None:
+        raise ValidationError(f"the {algo_id} bound needs the {spec.reads} input")
+    return float(spec.bound(params, np.asarray(value, dtype=float)[None])[0])
 
 
 def regret_bound(algo_id, params, run_result, realized: float) -> BoundCertificate:
     """Certificate comparing a run's realized regret with its guarantee."""
-    horizon = run_result.horizon
-    bound = bound_value(
-        algo_id,
-        params,
-        g_spectrum=run_result.g_spectra[-1],
-        sum_sq_grads=float(run_result.sum_sq_gradients()[-1]),
-        horizon=horizon,
-    )
+    bound = float(_prefix_bounds(algo_id, params, run_result, slice(-1, None))[0])
     satisfied = realized <= bound + CERT_RTOL * (1.0 + abs(bound))
     return BoundCertificate(
         algo_id=algo_id, bound=bound, realized=realized, satisfied=satisfied, params=dict(params)
@@ -434,18 +410,7 @@ def regret_bound(algo_id, params, run_result, realized: float) -> BoundCertifica
 
 def bound_prefix_series(algo_id, params, run_result) -> np.ndarray:
     """The guarantee evaluated at every prefix (one value per round)."""
-    horizon = run_result.horizon
-    out = np.empty(horizon)
-    sums = run_result.sum_sq_gradients()
-    for i in range(horizon):
-        out[i] = bound_value(
-            algo_id,
-            params,
-            g_spectrum=run_result.g_spectra[i],
-            sum_sq_grads=float(sums[i]),
-            horizon=i + 1,
-        )
-    return out
+    return _prefix_bounds(algo_id, params, run_result, slice(None))
 
 
 def trace_product_check(g_mat: SymmetricMatrix, p: float, tol: float = 1e-9):

@@ -3,44 +3,51 @@
 Each preset fixes a potential, a regularizer domain and the accumulator
 seed, following the tuning that yields the classical regret guarantees:
 
-================  ==============  ===========  ==================================
-preset            potential       domain       parameters
-================  ==============  ===========  ==================================
-adagrad-full      inverse trace   full         eta = b / sqrt(2), G0 = eps * I
-adagrad-diag      inverse trace   diagonal     eta = b_inf / sqrt(2), G0 = eps * I
-adaptive-ogd      inverse trace   isotropic    eta = c / sqrt(d), c = b / sqrt(2),
-                                               G0 = 0
-pnorm             inverse power   full         eta free (default b / sqrt(2)),
-                                               G0 = eps * I
-ons-full          log det         full         eps = d / (beta^2 b^2)
-ons-diag          log det         diagonal     eps = d / (beta^2 b^2)
-sc-ogd            log det         isotropic    beta = alpha d / gamma^2,
-                                               eps = gamma^2, G0 = (eps / d) * I
-================  ==============  ===========  ==================================
+============  =============  =========  ========================  =================================
+preset        potential      domain     parameters                bound
+============  =============  =========  ========================  =================================
+adagrad-full  inverse trace  full       eta = b / sqrt(2),        (eta + b^2/(2 eta)) tr G^(1/2)
+                                        G0 = eps * I
+adagrad-diag  inverse trace  diagonal   eta = b_inf / sqrt(2),    (eta + b_inf^2/(2 eta))
+                                        G0 = eps * I              * sum_i G_ii^(1/2)
+adaptive-ogd  inverse trace  isotropic  eta = c / sqrt(d),        (c + b^2/(2 c)) sqrt(sum |g|^2)
+                                        c = b / sqrt(2), G0 = 0
+pnorm         inverse power  full       eta free (default         eta (p+1)/(2p) tr G^(p/(p+1))
+                                        b / sqrt(2)), p = 2,      + b^2/(2 eta) tr G^(1/(p+1))
+                                        G0 = eps * I
+ons-full      log det        full       eps = d / (beta^2 b^2)    d/beta (1 + log((beta gamma b)^2
+                                                                  T / d))
+ons-diag      log det        diagonal   eps = d / (beta^2 b^2)    as ons-full
+sc-ogd        log det        isotropic  beta = alpha d/gamma^2,   gamma^2/alpha (8 + log T)
+                                        eps = gamma^2,
+                                        G0 = (eps / d) * I
+============  =============  =========  ========================  =================================
 
 Here ``b`` / ``b_inf`` are the Euclidean / infinity diameters of the
 feasible set (taken from the set when not supplied), ``gamma`` a bound
 on gradient norms, ``alpha`` the strong-convexity and ``beta`` the
-exp-concavity constant of the loss family.  Constants that only enter
-the regret-bound formulas, not the update itself, are carried along in
-``bound_params``.
+exp-concavity constant of the loss family; ``G`` and ``T`` are the
+accumulator and round count at the prefix bounded.  Without ``eta``
+(``c``) a bound takes the minimizing one.  Constants that only enter the
+bounds are carried along in ``bound_params``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Mapping, Optional, Tuple
 
 import numpy as np
 
 from .engine import AdaRegConfig
-from .errors import ConfigError
-from .linalg import SymmetricMatrix
+from .errors import ConfigError, DomainError, ValidationError
+from .linalg import EIG_CLAMP_RTOL, SymmetricMatrix
 from .potentials import AdaGradPotential, OnsPotential, PNormPotential, RegularizerDomain
 from .sets import FeasibleSet
 
 DEFAULT_EPSILON = 1e-8
+DEFAULT_P = 2.0
 
 
 @dataclass(frozen=True)
@@ -64,43 +71,45 @@ def _diameter(fset: FeasibleSet, b: Optional[float], norm: str, name: str) -> fl
     return fset.diameter(norm)
 
 
-def adagrad_full(fset, x1=None, b=None, epsilon=DEFAULT_EPSILON) -> Preset:
+def _eta_scaled(algo_id, potential, domain, fset, x1, b, b_name, norm, epsilon, eta, **params):
+    """A preset whose potential is ``potential(eta)``, eta defaulting to b / sqrt(2)."""
+    b = _diameter(fset, b, norm, b_name)
+    if eta is None:
+        eta = b / math.sqrt(2.0)
+    config = AdaRegConfig(
+        potential=potential(eta),
+        domain=domain,
+        feasible_set=fset,
+        x1=_resolve_x1(fset, x1),
+        g0=SymmetricMatrix.identity(fset.dim, epsilon),
+        epsilon=epsilon,
+    )
+    return Preset(algo_id, config, {b_name: b, "eta": eta, **params})
+
+
+def adagrad_full(fset, x1=None, b=None, epsilon=DEFAULT_EPSILON, eta=None) -> Preset:
     """Full-matrix step sizes proportional to the inverse root of G_t."""
-    b = _diameter(fset, b, "euclidean", "b")
-    config = AdaRegConfig(
-        potential=AdaGradPotential(eta=b / math.sqrt(2.0)),
-        domain=RegularizerDomain.FULL,
-        feasible_set=fset,
-        x1=_resolve_x1(fset, x1),
-        g0=SymmetricMatrix.identity(fset.dim, epsilon),
-        epsilon=epsilon,
+    return _eta_scaled(
+        "adagrad-full", AdaGradPotential, RegularizerDomain.FULL, fset, x1, b, "b", "euclidean",
+        epsilon, eta,
     )
-    return Preset("adagrad-full", config, {"b": b})
 
 
-def adagrad_diag(fset, x1=None, b_inf=None, epsilon=DEFAULT_EPSILON) -> Preset:
+def adagrad_diag(fset, x1=None, b_inf=None, epsilon=DEFAULT_EPSILON, eta=None) -> Preset:
     """Per-coordinate step sizes from the diagonal of the accumulator."""
-    b_inf = _diameter(fset, b_inf, "infinity", "b_inf")
-    config = AdaRegConfig(
-        potential=AdaGradPotential(eta=b_inf / math.sqrt(2.0)),
-        domain=RegularizerDomain.DIAGONAL,
-        feasible_set=fset,
-        x1=_resolve_x1(fset, x1),
-        g0=SymmetricMatrix.identity(fset.dim, epsilon),
-        epsilon=epsilon,
+    return _eta_scaled(
+        "adagrad-diag", AdaGradPotential, RegularizerDomain.DIAGONAL, fset, x1, b_inf, "b_inf",
+        "infinity", epsilon, eta,
     )
-    return Preset("adagrad-diag", config, {"b_inf": b_inf})
 
 
 def adaptive_ogd(fset, x1=None, c=None, b=None) -> Preset:
     """Scalar step size c / sqrt(sum of squared gradient norms); G0 = 0."""
+    b = _diameter(fset, b, "euclidean", "b")
     if c is None:
-        b = _diameter(fset, b, "euclidean", "b")
         c = b / math.sqrt(2.0)
     elif not (c > 0 and math.isfinite(c)):
         raise ConfigError(f"c must be positive and finite, got {c}")
-    if b is None:
-        b = c * math.sqrt(2.0)
     d = fset.dim
     config = AdaRegConfig(
         potential=AdaGradPotential(eta=c / math.sqrt(d)),
@@ -113,25 +122,17 @@ def adaptive_ogd(fset, x1=None, c=None, b=None) -> Preset:
     return Preset("adaptive-ogd", config, {"b": b, "c": c})
 
 
-def pnorm(fset, p, x1=None, b=None, eta=None, epsilon=DEFAULT_EPSILON) -> Preset:
+def pnorm(fset, p=DEFAULT_P, x1=None, b=None, eta=None, epsilon=DEFAULT_EPSILON) -> Preset:
     """Full-matrix step sizes proportional to G_t^(-1/(p+1)).
 
     ``eta`` defaults to b / sqrt(2), the value that is optimal at p = 1.
-    The harness can instead supply the eta that optimizes the bound for a
-    known final accumulator.
+    :func:`build_preset` instead supplies the eta that optimizes the bound
+    when the final accumulator is known in advance.
     """
-    b = _diameter(fset, b, "euclidean", "b")
-    if eta is None:
-        eta = b / math.sqrt(2.0)
-    config = AdaRegConfig(
-        potential=PNormPotential(eta=eta, p=p),
-        domain=RegularizerDomain.FULL,
-        feasible_set=fset,
-        x1=_resolve_x1(fset, x1),
-        g0=SymmetricMatrix.identity(fset.dim, epsilon),
-        epsilon=epsilon,
+    return _eta_scaled(
+        "pnorm", lambda eta: PNormPotential(eta=eta, p=p), RegularizerDomain.FULL, fset, x1, b,
+        "b", "euclidean", epsilon, eta, p=p,
     )
-    return Preset("pnorm", config, {"b": b, "p": p, "eta": eta})
 
 
 def optimal_pnorm_eta(b: float, p: float, g_spectrum: np.ndarray) -> float:
@@ -142,6 +143,16 @@ def optimal_pnorm_eta(b: float, p: float, g_spectrum: np.ndarray) -> float:
     if den <= 0.0:
         raise ConfigError("cannot tune eta: accumulator spectrum is zero")
     return b * math.sqrt(p / (p + 1.0) * num / den)
+
+
+def oblivious_final_spectrum(problem, fset, horizon, epsilon=DEFAULT_EPSILON):
+    """Spectrum of eps*I + sum g_t g_t' for an iterate-independent stream."""
+    d = fset.dim
+    g_sum = epsilon * np.eye(d)
+    for t in range(1, horizon + 1):
+        g = problem.gradient_of_round(t)
+        g_sum += np.outer(g, g)
+    return np.linalg.eigvalsh(g_sum)
 
 
 def _ons_like(algo_id, domain, fset, beta, x1, b, gamma) -> Preset:
@@ -198,22 +209,156 @@ def sc_ogd(fset, alpha, gamma, x1=None) -> Preset:
     return Preset("sc-ogd", config, {"alpha": alpha, "gamma": gamma, "beta": beta, "d": d})
 
 
-PRESET_BUILDERS = {
-    "adagrad-full": adagrad_full,
-    "adagrad-diag": adagrad_diag,
-    "adaptive-ogd": adaptive_ogd,
-    "pnorm": pnorm,
-    "ons-full": ons_full,
-    "ons-diag": ons_diag,
-    "sc-ogd": sc_ogd,
+# Bound formulas: bound_params plus one prefix statistic of a run (spectra
+# (n, d), cumulative squared gradient norms (n,) or prefix lengths (n,)) to
+# one bound per prefix.
+
+
+def _psd_rows(spectra) -> np.ndarray:
+    """A copy of the spectra, each row's round-off band clamped as in ``clamp_spectrum``."""
+    lam = np.array(spectra, dtype=float, ndmin=2)
+    low = lam.min(axis=1, keepdims=True)
+    if (low < 0.0).any():
+        scale = np.maximum(1.0, np.maximum(lam.max(axis=1, keepdims=True), -low))
+        lam[(lam > -EIG_CLAMP_RTOL * scale) & (lam < 0.0)] = 0.0
+        if (lam < 0.0).any():
+            raise DomainError("accumulator spectrum must be nonnegative")
+    return lam
+
+
+def _eta_explicit(eta, b, s):
+    """(eta + b^2/(2 eta)) s, or its minimum sqrt(2) b s when eta is None."""
+    if eta is None:
+        return math.sqrt(2.0) * b * s
+    return (eta + b * b / (2.0 * eta)) * s
+
+
+def _adagrad_bound(b_name):
+    def bound(q, spectra):
+        lam = _psd_rows(spectra)
+        root_trace = np.sqrt(lam, out=lam).sum(axis=1)
+        return _eta_explicit(q.get("eta"), q[b_name], root_trace)
+
+    return bound
+
+
+def _pnorm_traces(spectra, p):
+    """tr G^(1/(p+1)) and tr G^(p/(p+1)) per row, through one (n, d) buffer."""
+    lam = _psd_rows(spectra)
+    t1 = np.power(lam, 1.0 / (p + 1.0), out=lam).sum(axis=1)
+    return t1, np.power(lam, p, out=lam).sum(axis=1)
+
+
+def _pnorm_bound(q, spectra):
+    p, b, eta = q["p"], q["b"], q.get("eta")
+    t1, t2 = _pnorm_traces(spectra, p)
+    if eta is None:
+        return b * np.sqrt((p + 1.0) / p * t1 * t2)
+    return eta * (p + 1.0) / (2.0 * p) * t2 + b * b / (2.0 * eta) * t1
+
+
+def _ons_bound(q, horizons):
+    beta, gamma, b, d = q["beta"], q["gamma"], q["b"], q["d"]
+    return d / beta * (1.0 + np.log((beta * gamma * b) ** 2 * horizons / d))
+
+
+def _tuned_pnorm_eta(fset, problem, horizon, kw) -> dict:
+    """The bound-minimizing eta when the final accumulator is known in advance."""
+    if "eta" in kw or horizon is None or not problem.oblivious:
+        return {}
+    eps = kw.get("epsilon", DEFAULT_EPSILON)
+    spectrum = oblivious_final_spectrum(problem, fset, horizon, epsilon=eps)
+    b = fset.diameter("euclidean")
+    return {"eta": optimal_pnorm_eta(b, kw.get("p", DEFAULT_P), spectrum)}
+
+
+@dataclass(frozen=True)
+class AlgorithmSpec:
+    """Everything the package states about one algorithm; :data:`ALGORITHMS` holds them."""
+
+    builder: Callable[..., Preset]
+    matched: Tuple[str, str]  # (problem family, set kind) its bound is verified on
+    reads: str  # the prefix statistic of the bound: "spectra", "sum_sq" or "horizons"
+    bound: Callable[[dict, np.ndarray], np.ndarray]
+    options: Mapping[str, str] = field(default_factory=dict)  # run flag -> builder keyword
+    # (keyword, problem attribute, usage error when neither supplies it)
+    constants: Tuple[Tuple[str, str, str], ...] = ()
+    tune: Optional[Callable[..., dict]] = None  # builder keywords derived from the problem
+
+
+def _needs(algo_id, flag, what):
+    return f"{algo_id} needs --{flag} (the problem declares no {what} constant)"
+
+
+_ADAGRAD_OPTIONS = {"eta": "eta", "epsilon": "epsilon"}
+
+ALGORITHMS = {
+    "adagrad-full": AlgorithmSpec(
+        adagrad_full, ("adv-linear", "ball"), "spectra", _adagrad_bound("b"), _ADAGRAD_OPTIONS
+    ),
+    "adagrad-diag": AlgorithmSpec(
+        adagrad_diag, ("adv-linear", "box"), "spectra", _adagrad_bound("b_inf"), _ADAGRAD_OPTIONS
+    ),
+    "adaptive-ogd": AlgorithmSpec(
+        adaptive_ogd, ("adv-linear", "ball"), "sum_sq",
+        lambda q, sum_sq: _eta_explicit(q.get("c"), q["b"], np.sqrt(sum_sq)),
+        options={"eta": "c"},
+    ),
+    "pnorm": AlgorithmSpec(
+        pnorm, ("adv-linear", "ball"), "spectra", _pnorm_bound,
+        options=dict(_ADAGRAD_OPTIONS, p="p"), tune=_tuned_pnorm_eta,
+    ),
+    "ons-full": AlgorithmSpec(
+        ons_full, ("sq-loss", "ball"), "horizons", _ons_bound,
+        constants=(("beta", "beta", _needs("ons-full", "beta", "exp-concavity")),),
+    ),
+    "ons-diag": AlgorithmSpec(
+        ons_diag, ("coord-sq", "box"), "horizons", _ons_bound,
+        constants=(("beta", "beta_coo", _needs("ons-diag", "beta", "exp-concavity")),),
+    ),
+    "sc-ogd": AlgorithmSpec(
+        sc_ogd, ("rot-quad", "ball"), "horizons",
+        lambda q, horizons: q["gamma"] ** 2 / q["alpha"] * (8.0 + np.log(horizons)),
+        constants=(
+            ("alpha", "alpha", _needs("sc-ogd", "alpha", "strong-convexity")),
+            ("gamma", "gamma", _needs("sc-ogd", "gamma", "gradient-norm")),
+        ),
+    ),
 }
+
+PRESET_BUILDERS = {algo_id: spec.builder for algo_id, spec in ALGORITHMS.items()}
+
+
+def algorithm_spec(algo_id: str) -> AlgorithmSpec:
+    """The registry entry of an algorithm; unknown names are a config error."""
+    try:
+        return ALGORITHMS[algo_id]
+    except KeyError:
+        known = ", ".join(sorted(ALGORITHMS))
+        raise ConfigError(f"unknown algorithm {algo_id!r}; known: {known}") from None
 
 
 def make_preset(algo_id: str, fset: FeasibleSet, **params) -> Preset:
     """Build a preset by registry name; see the module table for parameters."""
-    try:
-        builder = PRESET_BUILDERS[algo_id]
-    except KeyError:
-        known = ", ".join(sorted(PRESET_BUILDERS))
-        raise ConfigError(f"unknown algorithm {algo_id!r}; known: {known}") from None
-    return builder(fset, **params)
+    return algorithm_spec(algo_id).builder(fset, **params)
+
+
+def build_preset(algo_id, fset, problem, horizon=None, **overrides) -> Preset:
+    """A preset wired to a problem, each constant from an override or the problem.
+
+    ``overrides`` are keyed by run flag; ``None`` values and flags the
+    algorithm does not take are ignored.  ``horizon`` lets pnorm tune its
+    eta to an oblivious stream.  ``bound_params`` gains the problem's gamma.
+    """
+    spec = algorithm_spec(algo_id)
+    kw = {spec.options[k]: v for k, v in overrides.items() if k in spec.options and v is not None}
+    for name, attribute, missing in spec.constants:
+        value = overrides.get(name)
+        value = getattr(problem, attribute) if value is None else value
+        if value is None:
+            raise ValidationError(missing)
+        kw[name] = value
+    if spec.tune is not None:
+        kw.update(spec.tune(fset, problem, horizon, kw))
+    preset = make_preset(algo_id, fset, **kw)
+    return Preset(preset.algo_id, preset.config, {"gamma": problem.gamma, **preset.bound_params})

@@ -9,7 +9,6 @@ so the failure path of the harness can itself be exercised.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -141,50 +140,20 @@ def argmin_suite(trials: int = 50, seed: int = 0, tol: float = 1e-4) -> List[Fai
 
 
 def _matched_setups(dim=5):
-    ball = Ball(center=np.zeros(dim), radius=1.0)
-    box = Box(lower=-0.5 * np.ones(dim), upper=0.5 * np.ones(dim))
+    """(problem family, feasible set) of each preset's matched problem."""
+    sets = {
+        "ball": Ball(center=np.zeros(dim), radius=1.0),
+        "box": Box(lower=-0.5 * np.ones(dim), upper=0.5 * np.ones(dim)),
+    }
     return {
-        "adagrad-full": ("adv-linear", ball),
-        "adagrad-diag": ("adv-linear", box),
-        "adaptive-ogd": ("adv-linear", ball),
-        "pnorm": ("adv-linear", ball),
-        "ons-full": ("sq-loss", ball),
-        "ons-diag": ("coord-sq", box),
-        "sc-ogd": ("rot-quad", ball),
+        algo_id: (spec.matched[0], sets[spec.matched[1]])
+        for algo_id, spec in presets.ALGORITHMS.items()
     }
 
 
-def build_matched_preset(algo_id, fset, problem, p=2.0, horizon=None):
+def build_matched_preset(algo_id, fset, problem, p=presets.DEFAULT_P, horizon=None):
     """Preset wired to a problem's declared constants (tuned eta for pnorm)."""
-    if algo_id == "adagrad-full":
-        return presets.adagrad_full(fset)
-    if algo_id == "adagrad-diag":
-        return presets.adagrad_diag(fset)
-    if algo_id == "adaptive-ogd":
-        return presets.adaptive_ogd(fset)
-    if algo_id == "pnorm":
-        eta = None
-        if problem.oblivious and horizon is not None:
-            spectrum = oblivious_final_spectrum(problem, fset, horizon, p)
-            eta = presets.optimal_pnorm_eta(fset.diameter("euclidean"), p, spectrum)
-        return presets.pnorm(fset, p=p, eta=eta)
-    if algo_id == "ons-full":
-        return presets.ons_full(fset, beta=problem.beta, gamma=problem.gamma)
-    if algo_id == "ons-diag":
-        return presets.ons_diag(fset, beta=problem.beta_coo, gamma=problem.gamma)
-    if algo_id == "sc-ogd":
-        return presets.sc_ogd(fset, alpha=problem.alpha, gamma=problem.gamma)
-    raise ValidationError(f"unknown algorithm {algo_id!r}")
-
-
-def oblivious_final_spectrum(problem, fset, horizon, p, epsilon=presets.DEFAULT_EPSILON):
-    """Spectrum of eps*I + sum g_t g_t' for an iterate-independent stream."""
-    d = fset.dim
-    g_sum = epsilon * np.eye(d)
-    for t in range(1, horizon + 1):
-        g = problem.gradient_of_round(t)
-        g_sum += np.outer(g, g)
-    return np.linalg.eigvalsh(g_sum)
+    return presets.build_preset(algo_id, fset, problem, horizon=horizon, p=p)
 
 
 def bounds_suite(
@@ -192,54 +161,40 @@ def bounds_suite(
     seed: int = 0,
     horizon: int = 400,
     fault: Optional[str] = None,
-    threads: int = 1,
 ) -> List[Failure]:
     """Regret-bound certificates for every preset on its matched problem."""
-    jobs = []
-    for algo_id, (problem_id, fset) in _matched_setups().items():
-        for k in range(trials):
-            jobs.append((algo_id, problem_id, fset, seed + k))
+    checks = (
+        _bounds_case(algo_id, problem_id, fset, run_seed, horizon, fault)
+        for algo_id, (problem_id, fset) in _matched_setups().items()
+        for run_seed in range(seed, seed + trials)
+    )
+    return [failure for failure in checks if failure is not None]
 
-    def check(job):
-        algo_id, problem_id, fset, run_seed = job
-        problem = make_problem(problem_id, fset.dim, run_seed, fset, validate=False)
-        preset = build_matched_preset(algo_id, fset, problem, horizon=horizon)
-        result = engine_run(preset.config, problem, horizon)
-        x_star, _ = best_fixed_comparator(problem, horizon)
-        record = regret(result, problem, x_star)
-        params = dict(preset.bound_params)
-        params.setdefault("gamma", problem.gamma)
-        cert = oracles.regret_bound(preset.algo_id, params, result, record.final_regret)
-        bound = cert.bound
-        if fault == "bound-shrink":
-            bound *= 0.9
-        satisfied = cert.realized <= bound + oracles.CERT_RTOL * (1.0 + abs(bound))
-        if not satisfied:
-            return Failure(
-                "bounds",
-                f"{algo_id}/{problem_id}",
-                run_seed,
-                f"realized={cert.realized:.6g} bound={bound:.6g}",
-            )
-        # The certificate value must agree with an independent evaluation of
-        # the guarantee at the final prefix; a perturbed formula trips this
-        # even when the realized regret sits far below the bound.
-        reference = float(oracles.bound_prefix_series(preset.algo_id, params, result)[-1])
-        if abs(bound - reference) > 1e-9 * (1.0 + abs(reference)):
-            return Failure(
-                "bounds",
-                f"{algo_id}/{problem_id}",
-                run_seed,
-                f"certificate={bound:.6g} disagrees with prefix value {reference:.6g}",
-            )
-        return None
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(check, jobs))
-    else:
-        results = [check(job) for job in jobs]
-    return [r for r in results if r is not None]
+def _bounds_case(algo_id, problem_id, fset, run_seed, horizon, fault) -> Optional[Failure]:
+    # One case per call, so a run's history is freed before the next starts.
+    case = f"{algo_id}/{problem_id}"
+    problem = make_problem(problem_id, fset.dim, run_seed, fset, validate=False)
+    preset = build_matched_preset(algo_id, fset, problem, horizon=horizon)
+    result = engine_run(preset.config, problem, horizon)
+    x_star, _ = best_fixed_comparator(problem, horizon)
+    record = regret(result, problem, x_star)
+    cert = oracles.regret_bound(preset.algo_id, preset.bound_params, result, record.final_regret)
+    bound = cert.bound
+    if fault == "bound-shrink":
+        bound *= 0.9
+    satisfied = cert.realized <= bound + oracles.CERT_RTOL * (1.0 + abs(bound))
+    if not satisfied:
+        return Failure("bounds", case, run_seed, f"realized={cert.realized:.6g} bound={bound:.6g}")
+    # The certificate must equal the guarantee at the final prefix of the
+    # series the trace reports; a perturbed certificate trips this even when
+    # the realized regret sits far below the bound.
+    series = oracles.bound_prefix_series(preset.algo_id, preset.bound_params, result)
+    reference = float(series[-1])
+    if abs(bound - reference) > 1e-9 * (1.0 + abs(reference)):
+        detail = f"certificate={bound:.6g} disagrees with prefix value {reference:.6g}"
+        return Failure("bounds", case, run_seed, detail)
+    return None
 
 
 def matrix_suite(trials: int = 500, seed: int = 0, tol: float = 1e-8) -> List[Failure]:

@@ -36,9 +36,7 @@ def trajectory(algo_id):
     result = run(preset.config, problem, HORIZON)
     x_star, _ = best_fixed_comparator(problem, HORIZON)
     record = regret(result, problem, x_star)
-    params = dict(preset.bound_params)
-    params.setdefault("gamma", problem.gamma)
-    cert = regret_bound(preset.algo_id, params, result, record.final_regret)
+    cert = regret_bound(preset.algo_id, preset.bound_params, result, record.final_regret)
     return {"xs": result.xs, "cum_regret": record.cum_regret, "bound": np.array(cert.bound)}
 
 

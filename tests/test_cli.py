@@ -155,6 +155,110 @@ class TestRun:
         assert code == 0
 
 
+def run_summary(capsys, algo, problem, set_kind, *extra):
+    """Exit code and parsed JSON summary of a short run (d=3, T=60, seed 4)."""
+    code = run_cli(
+        "run", "--algo", algo, "--problem", problem, "--dim", "3", "--horizon", "60",
+        "--seed", "4", "--set", set_kind, "--out", "r.csv", *extra,
+    )
+    lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("json: ")]
+    return code, json.loads(lines[0][len("json: "):]) if lines else None
+
+
+class TestOverrides:
+    """Each run flag that overrides a preset parameter or a problem constant.
+
+    The final regrets pin the trajectories the overrides produce; a bound is
+    pinned where the override leaves the certificate's formula unchanged.
+    """
+
+    @pytest.mark.parametrize("algo,problem,set_kind,extra,final_regret,bound", [
+        ("adagrad-full", "adv-linear", "ball", ("--eta", "0.3"), 9.315569046579867, None),
+        ("adagrad-full", "adv-linear", "ball", ("--epsilon", "0.01"),
+         6.073914977970315, 37.829504851638355),
+        ("adagrad-full", "adv-linear", "ball", ("--eta", "0.3", "--epsilon", "0.01"),
+         9.308629375804028, None),
+        ("adagrad-diag", "adv-linear", "box", ("--eta", "0.3"), 5.823551249569055, None),
+        ("adagrad-diag", "adv-linear", "box", ("--epsilon", "0.01"),
+         5.591809550155818, 18.97840878472165),
+        ("adagrad-diag", "adv-linear", "box", ("--eta", "0.3", "--epsilon", "0.01"),
+         5.831926093243051, None),
+        ("pnorm", "adv-linear", "ball", ("--eta", "0.3"), 7.940795071752584, None),
+        ("pnorm", "adv-linear", "ball", ("--epsilon", "0.01"),
+         6.218144925745426, 32.77355192744261),
+        ("pnorm", "adv-linear", "ball", ("--eta", "0.3", "--epsilon", "0.01", "--p", "3"),
+         7.3599714881393945, None),
+        ("ons-full", "sq-loss", "ball", ("--beta", "0.2"),
+         0.5429365784491589, 70.03015120194625),
+        ("ons-diag", "sq-loss", "ball", ("--beta", "0.2"),
+         0.5370630838976693, 70.03015120194625),
+        ("sc-ogd", "rot-quad", "ball", ("--alpha", "0.5"),
+         14.177483048766563, 387.01902599110724),
+        ("sc-ogd", "rot-quad", "ball", ("--alpha", "0.5", "--gamma", "9"),
+         31.665262942713927, 1959.2838190799805),
+    ])
+    def test_override_runs(self, tmp_path, monkeypatch, capsys, algo, problem, set_kind, extra,
+                           final_regret, bound):
+        monkeypatch.chdir(tmp_path)
+        code, payload = run_summary(capsys, algo, problem, set_kind, *extra)
+        assert code == 0
+        assert payload["certificate"] == "satisfied"
+        assert payload["final_regret"] == pytest.approx(final_regret, rel=1e-9)
+        if bound is not None:
+            assert payload["bound"] == pytest.approx(bound, rel=1e-9)
+
+    @pytest.mark.parametrize("algo,flag", [
+        ("ons-full", "--beta"), ("ons-diag", "--beta"), ("sc-ogd", "--alpha"),
+    ])
+    def test_missing_constant_is_a_usage_error(self, tmp_path, monkeypatch, capsys, algo, flag):
+        monkeypatch.chdir(tmp_path)
+        code = run_cli(
+            "run", "--algo", algo, "--problem", "adv-linear", "--dim", "3",
+            "--horizon", "20", "--out", "r.csv",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and flag in err
+        assert not (tmp_path / "r.csv").exists()
+
+
+class TestUserSetEtaCertificate:
+    def test_adaptive_ogd_certifies_against_its_step_scale(self, tmp_path, monkeypatch, capsys):
+        # Before the bound read the user-set scale, this run printed bound
+        # 0.894 (a diameter of c * sqrt(2) in place of the ball's 2) and
+        # "certificate: violated" with exit 1.
+        monkeypatch.chdir(tmp_path)
+        code = run_cli(
+            "run", "--algo", "adaptive-ogd", "--eta", "0.01", "--problem", "adv-linear",
+            "--dim", "5", "--horizon", "2000", "--seed", "3", "--out", "r.csv",
+        )
+        lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("json: ")]
+        payload = json.loads(lines[0][len("json: "):])
+        assert code == 0
+        assert payload["certificate"] == "satisfied"
+        assert payload["final_regret"] == pytest.approx(58.555261241507679, rel=1e-9)
+        # (c + b^2 / (2 c)) sqrt(sum |g|^2) with c = 0.01, b = 2; the old value
+        # 0.894 was sqrt(2) * (0.01 sqrt(2)) * sqrt(sum |g|^2)
+        root_sum_sq = 0.89442719099991597 / 0.02
+        assert payload["bound"] == pytest.approx((0.01 + 4.0 / 0.02) * root_sum_sq, rel=1e-9)
+
+
+class TestInternalErrors:
+    def test_numerical_failure_exits_3_without_traceback(self, tmp_path, monkeypatch, capsys):
+        from adareg import cli
+        from adareg.errors import ConvergenceError
+
+        def fail(*_args, **_kwargs):
+            raise ConvergenceError("ball multiplier search did not converge")
+
+        monkeypatch.setattr(cli, "engine_run", fail)
+        code, _ = quick_run(tmp_path)
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: ball multiplier search did not converge\n"
+        assert "Traceback" not in captured.out + captured.err
+
+
 class TestCurves:
     def test_header_only_input(self, tmp_path):
         src = tmp_path / "empty.csv"

@@ -2,6 +2,7 @@
 regret lemma, the numeric regularizer argmin, and the bound formulas."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -32,9 +33,16 @@ from adareg.potentials import (
     RegularizerDomain,
     solve_regularizer,
 )
-from adareg.presets import adagrad_full, optimal_pnorm_eta
+from adareg.presets import (
+    ALGORITHMS,
+    PRESET_BUILDERS,
+    adagrad_full,
+    build_preset,
+    optimal_pnorm_eta,
+)
 from adareg.problems import best_fixed_comparator, make_problem, regret
 from adareg.sets import Ball, Box, Unconstrained
+from adareg.suites import _matched_setups, build_matched_preset
 from conftest import random_pd
 from test_problems import FixedLinear
 
@@ -222,6 +230,117 @@ class TestBoundFormulas:
             "adagrad-full", "adagrad-diag", "adaptive-ogd", "pnorm",
             "ons-full", "ons-diag", "sc-ogd",
         }
+
+
+def _closed_form_bound(algo_id, q, lam, sum_sq, horizon):
+    """One prefix of each preset's guarantee, written out scalar by scalar."""
+    lam = np.where((lam < 0.0) & (lam > -1e-12 * max(1.0, np.abs(lam).max())), 0.0, lam)
+    if algo_id in ("adagrad-full", "adagrad-diag"):
+        b, eta = q["b" if algo_id == "adagrad-full" else "b_inf"], q["eta"]
+        return (eta + b * b / (2.0 * eta)) * sum(math.sqrt(x) for x in lam)
+    if algo_id == "adaptive-ogd":
+        b, c = q["b"], q["c"]
+        return (c + b * b / (2.0 * c)) * math.sqrt(sum_sq)
+    if algo_id == "pnorm":
+        b, p, eta = q["b"], q["p"], q["eta"]
+        t1 = sum(x ** (1.0 / (p + 1.0)) for x in lam)
+        t2 = sum(x ** (p / (p + 1.0)) for x in lam)
+        return eta * (p + 1.0) / (2.0 * p) * t2 + b * b / (2.0 * eta) * t1
+    if algo_id in ("ons-full", "ons-diag"):
+        beta, gamma, b, d = q["beta"], q["gamma"], q["b"], q["d"]
+        return d / beta * (1.0 + math.log((beta * gamma * b) ** 2 * horizon / d))
+    assert algo_id == "sc-ogd"
+    return q["gamma"] ** 2 / q["alpha"] * (8.0 + math.log(horizon))
+
+
+class TestBoundRegistry:
+    def test_every_view_has_the_registry_keys(self):
+        assert set(PRESET_BUILDERS) == set(ALGORITHMS)
+        assert set(BOUND_ALGO_IDS) == set(ALGORITHMS)
+        assert set(_matched_setups()) == set(ALGORITHMS)
+
+    @pytest.mark.parametrize("algo_id", sorted(ALGORITHMS))
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_array_formula_matches_per_prefix_closed_form(self, algo_id, seed):
+        problem_id, fset = _matched_setups(5)[algo_id]
+        problem = make_problem(problem_id, 5, seed, fset, validate=False)
+        preset = build_matched_preset(algo_id, fset, problem, horizon=300)
+        result = run(preset.config, problem, 300)
+        series = bound_prefix_series(algo_id, preset.bound_params, result)
+        sums = result.sum_sq_gradients()
+        expected = [
+            _closed_form_bound(algo_id, preset.bound_params, result.g_spectra[i], sums[i], i + 1)
+            for i in range(300)
+        ]
+        assert series.shape == (300,)
+        np.testing.assert_allclose(series, expected, rtol=1e-12, atol=0.0)
+        x_star, _ = best_fixed_comparator(problem, 300)
+        realized = regret(result, problem, x_star).final_regret
+        cert = regret_bound(algo_id, preset.bound_params, result, realized)
+        assert cert.bound == series[-1]
+
+    def test_scalar_shim_needs_the_input_its_formula_reads(self):
+        with pytest.raises(ValidationError):
+            bound_value("sc-ogd", {"gamma": 1.0, "alpha": 0.5})
+
+    def test_negative_spectrum_beyond_round_off_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            bound_value("adagrad-full", {"b": 2.0}, g_spectrum=np.array([-1e-3, 1.0]))
+        # inside the round-off band the entry counts as zero
+        val = bound_value("adagrad-full", {"b": 2.0}, g_spectrum=np.array([-1e-14, 4.0]))
+        assert val == pytest.approx(2.0 * math.sqrt(2.0) * 2.0)
+
+    def test_round_off_band_scales_with_each_prefix(self):
+        # -5e-10 lies in the band of a prefix whose largest eigenvalue is 1e3,
+        # -5e-11 outside the band of a prefix whose largest eigenvalue is 1
+        clamped = types.SimpleNamespace(horizon=2, g_spectra=np.array([[1.0, 1.0], [-5e-10, 1e3]]))
+        series = bound_prefix_series("adagrad-full", {"b": 2.0}, clamped)
+        assert series[1] == pytest.approx(2.0 * math.sqrt(2.0) * math.sqrt(1e3))
+        outside = types.SimpleNamespace(horizon=2, g_spectra=np.array([[-5e-11, 1.0], [1e3, 1e3]]))
+        with pytest.raises(DomainError):
+            bound_prefix_series("adagrad-full", {"b": 2.0}, outside)
+
+
+class TestUserSetEta:
+    """Certificates under a user-set step scale use the eta-explicit bound."""
+
+    @pytest.mark.parametrize("algo_id,b_name", [
+        ("adagrad-full", "b"), ("adagrad-diag", "b_inf"), ("adaptive-ogd", "b"), ("pnorm", "b"),
+    ])
+    @pytest.mark.parametrize("scale", [0.01, 0.1, 1.0, 10.0])
+    def test_every_certificate_holds(self, algo_id, b_name, scale):
+        problem_id, fset = _matched_setups(5)[algo_id]
+        b = fset.diameter("infinity" if b_name == "b_inf" else "euclidean")
+        for seed in (0, 1):
+            problem = make_problem(problem_id, 5, seed, fset, validate=False)
+            preset = build_preset(algo_id, fset, problem, horizon=200, eta=scale * b)
+            assert preset.bound_params[b_name] == b
+            result = run(preset.config, problem, 200)
+            x_star, _ = best_fixed_comparator(problem, 200)
+            record = regret(result, problem, x_star)
+            cert = regret_bound(algo_id, preset.bound_params, result, record.final_regret)
+            assert cert.satisfied, (seed, cert)
+            series = bound_prefix_series(algo_id, preset.bound_params, result)
+            # regret against the full-horizon comparator never exceeds the
+            # regret against each prefix's own best point
+            assert np.all(record.cum_regret <= series * (1.0 + 1e-9))
+
+    def test_default_eta_reproduces_the_minimized_bound(self):
+        lam = np.array([0.5, 2.0, 4.0])
+        at_default = bound_value("adagrad-full", {"b": 2.0, "eta": math.sqrt(2.0)}, g_spectrum=lam)
+        minimized = bound_value("adagrad-full", {"b": 2.0}, g_spectrum=lam)
+        assert at_default == pytest.approx(minimized, rel=1e-15)
+        eta = optimal_pnorm_eta(2.0, 3.0, lam)
+        at_tuned = bound_value("pnorm", {"b": 2.0, "p": 3.0, "eta": eta}, g_spectrum=lam)
+        minimized = bound_value("pnorm", {"b": 2.0, "p": 3.0}, g_spectrum=lam)
+        assert at_tuned == pytest.approx(minimized, rel=1e-12)
+
+    def test_off_optimal_eta_loosens_the_bound(self):
+        lam = np.array([1.0, 9.0])
+        at_opt = bound_value("adagrad-full", {"b": 2.0}, g_spectrum=lam)
+        off = bound_value("adagrad-full", {"b": 2.0, "eta": 0.02}, g_spectrum=lam)
+        assert off == pytest.approx((0.02 + 4.0 / 0.04) * 4.0)
+        assert off > at_opt
 
 
 class TestTraceProduct:

@@ -31,12 +31,6 @@ def test_bounds_suite_fault_injection_reports_failures():
     assert all(f.suite == "bounds" for f in failures)
 
 
-def test_bounds_suite_threads_match_serial():
-    serial = suites.bounds_suite(trials=1, seed=2, horizon=100, threads=1)
-    threaded = suites.bounds_suite(trials=1, seed=2, horizon=100, threads=4)
-    assert serial == threaded == []
-
-
 def test_unknown_suite_rejected():
     with pytest.raises(ValidationError):
         suites.run_suite("nope")
