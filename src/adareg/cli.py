@@ -151,14 +151,13 @@ def cmd_run(args, parser) -> int:
         parser.error("--set none requires --diameter (declared scale for the guarantees)")
     started = time.perf_counter()
     fset = _build_set(args)
+    overrides = {flag: getattr(args, flag) for flag in _PRESET_FLAGS}
     problem_kwargs = {}
     if args.problem == "adv-linear" and args.gamma is not None:
-        problem_kwargs["gamma"] = args.gamma
+        # adv-linear consumes --gamma; sc-ogd reads it back from the problem
+        problem_kwargs["gamma"] = overrides.pop("gamma")
     problem = make_problem(args.problem, args.dim, args.seed, fset, **problem_kwargs)
-    preset = presets.build_preset(
-        args.algo, fset, problem, horizon=args.horizon,
-        **{flag: getattr(args, flag) for flag in _PRESET_FLAGS},
-    )
+    preset = presets.build_preset(args.algo, fset, problem, horizon=args.horizon, **overrides)
     result = engine_run(preset.config, problem, args.horizon)
     x_star, flat = best_fixed_comparator(problem, args.horizon)
     record = regret(result, problem, x_star)

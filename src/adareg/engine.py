@@ -18,9 +18,12 @@ its eigenvectors.  Dense ``SymmetricMatrix`` views of ``G_t`` and
 ``H_t`` are built only when a caller asks for them.
 
 A run records the full trajectory: iterates, gradients, losses, the
-regularizer sequence and the per-round potential values, which is what
-the verification oracles consume.  The projection metric and the
-distance terms reported for analysis both use ``H_t^{-1}``.
+per-round potential values and ``H_t`` in the form the solve produced
+it, its spectrum plus (full domain only) its eigenbasis.  The
+verification oracles read ``H_t`` through :meth:`RunResult.sq_norms` and
+:meth:`RunResult.distance_terms`, so only this module knows the history
+format.  The projection metric and the distance terms reported for
+analysis both use ``H_t^{-1}``.
 
 A degenerate start with ``G_0 = 0`` is allowed when the potential's
 value vanishes for arbitrarily large regularizers (the inverse-trace and
@@ -201,20 +204,25 @@ class RunResult:
     """Complete trajectory of one run over a fixed horizon.
 
     Arrays are indexed by round: ``xs[t-1]`` is the iterate played at
-    round t and ``xs[T]`` the final post-update point.  ``hs`` and
-    ``h_invs`` hold the regularizer and its inverse per round (NaN rows
-    while deferred, flagged in ``h_defined``).  ``phis`` and ``ghs``
-    record ``Phi(H_t)`` and ``<G_t, H_t>``; ``g_spectra`` holds the
-    spectrum of the accumulator as seen by the regularizer domain
-    (eigenvalues, diagonal entries, or the mean eigenvalue replicated).
+    round t and ``xs[T]`` the final post-update point.  ``H_t`` is kept as
+    the solve produced it: ``h_spectra`` (T, d) holds its eigenvalues, and
+    ``h_bases`` (T, d, d) the matching eigenvector columns in the full
+    domain only; elsewhere ``H_t`` is diagonal, ``h_spectra`` is its
+    diagonal and ``h_bases`` is ``None``.  ``H_t^{-1}`` is ``1 / h_spectra``
+    in the same basis.  Rows of ``h_spectra`` are NaN while deferred,
+    flagged in ``h_defined``.  ``hs`` builds the dense (T, d, d) sequence
+    on access.  ``phis`` and ``ghs`` record ``Phi(H_t)`` and
+    ``<G_t, H_t>``; ``g_spectra`` holds the spectrum of the accumulator as
+    seen by the regularizer domain (eigenvalues, diagonal entries, or the
+    mean eigenvalue replicated).
     """
 
     config: AdaRegConfig
     xs: np.ndarray
     gradients: np.ndarray
     losses: np.ndarray
-    hs: np.ndarray
-    h_invs: np.ndarray
+    h_spectra: np.ndarray
+    h_bases: Optional[np.ndarray]
     h_defined: np.ndarray
     phis: np.ndarray
     ghs: np.ndarray
@@ -229,6 +237,24 @@ class RunResult:
     @property
     def dim(self) -> int:
         return self.xs.shape[1]
+
+    @property
+    def hs(self) -> np.ndarray:
+        """H_t per round as a dense (T, d, d) array, all-NaN rows while deferred."""
+        basis = np.eye(self.dim) if self.h_bases is None else self.h_bases
+        return np.einsum("...ij,...j,...kj->...ik", basis, self.h_spectra, basis)
+
+    def sq_norms(self, v: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """v_t' H_t v_t (or v_t' H_t^{-1} v_t) per round for a (T, d) array; 0 while deferred."""
+        if self.h_bases is not None:
+            v = np.einsum("tij,ti->tj", self.h_bases, v)
+        spectra = 1.0 / self.h_spectra if inverse else self.h_spectra
+        return np.where(self.h_defined, np.einsum("ti,ti,ti->t", v, spectra, v), 0.0)
+
+    def distance_terms(self, ref: np.ndarray) -> np.ndarray:
+        """|x_t - ref|^2 - |x_{t+1} - ref|^2 in the H_t^{-1} norm, per round."""
+        before = self.sq_norms(self.xs[:-1] - ref, inverse=True)
+        return before - self.sq_norms(self.xs[1:] - ref, inverse=True)
 
     def sum_sq_gradients(self) -> np.ndarray:
         """Cumulative sum over rounds of |g_t|^2."""
@@ -250,11 +276,8 @@ def run(config: AdaRegConfig, problem, horizon: int) -> RunResult:
     xs = np.empty((horizon + 1, d))
     gradients = np.empty((horizon, d))
     losses = np.empty(horizon)
-    hs = np.zeros((horizon, d, d))
-    h_invs = np.zeros((horizon, d, d))
-    # Row-by-row views of the diagonals, where diagonal regularizers are written.
-    hs_diag = hs.reshape(horizon, d * d)[:, :: d + 1]
-    h_invs_diag = h_invs.reshape(horizon, d * d)[:, :: d + 1]
+    h_spectra = np.full((horizon, d), np.nan)
+    h_bases = np.zeros((horizon, d, d)) if config.domain is RegularizerDomain.FULL else None
     h_defined = np.zeros(horizon, dtype=bool)
     phis = np.zeros(horizon)
     ghs = np.zeros(horizon)
@@ -269,16 +292,11 @@ def run(config: AdaRegConfig, problem, horizon: int) -> RunResult:
         xs[t] = state.x
         solution = state.solution
         if solution is None:
-            hs[i] = np.nan
-            h_invs[i] = np.nan
             continue
         h_defined[i] = True
-        if solution.basis is None:
-            hs_diag[i] = solution.h_spectrum
-            h_invs_diag[i] = solution.h_inv_spectrum
-        else:
-            hs[i] = solution.dense()
-            h_invs[i] = solution.dense(inverse=True)
+        h_spectra[i] = solution.h_spectrum
+        if h_bases is not None:
+            h_bases[i] = solution.basis
         phis[i] = solution.phi_h
         ghs[i] = solution.g_dot_h
         g_spectra[i] = solution.g_spectrum
@@ -287,8 +305,8 @@ def run(config: AdaRegConfig, problem, horizon: int) -> RunResult:
         xs=xs,
         gradients=gradients,
         losses=losses,
-        hs=hs,
-        h_invs=h_invs,
+        h_spectra=h_spectra,
+        h_bases=h_bases,
         h_defined=h_defined,
         phis=phis,
         ghs=ghs,

@@ -180,27 +180,13 @@ def mirror_descent_lemma_check(run_result, x_ref, tol: float = 1e-8):
     cumulative slack).
     """
     x_ref = np.asarray(x_ref, dtype=float)
-    worst = math.inf
-    lhs_total = 0.0
-    rhs_total = 0.0
-    for i in range(run_result.horizon):
-        g = run_result.gradients[i]
-        lhs = float(g @ (run_result.xs[i] - x_ref))
-        if run_result.h_defined[i]:
-            h = run_result.hs[i]
-            h_inv = run_result.h_invs[i]
-            before = run_result.xs[i] - x_ref
-            after = run_result.xs[i + 1] - x_ref
-            delta = float(before @ h_inv @ before) - float(after @ h_inv @ after)
-            rhs = 0.5 * float(g @ h @ g) + 0.5 * delta
-        else:
-            rhs = 0.0
-        worst = min(worst, (rhs - lhs) / (1.0 + abs(rhs)))
-        lhs_total += lhs
-        rhs_total += rhs
-    cumulative = (rhs_total - lhs_total) / (1.0 + abs(rhs_total))
+    lhs = np.einsum("ti,ti->t", run_result.gradients, run_result.xs[:-1] - x_ref)
+    rhs = 0.5 * run_result.sq_norms(run_result.gradients) + 0.5 * run_result.distance_terms(x_ref)
+    worst = float(np.min((rhs - lhs) / (1.0 + np.abs(rhs))))
+    rhs_total = float(np.sum(rhs))
+    cumulative = (rhs_total - float(np.sum(lhs))) / (1.0 + abs(rhs_total))
     ok = worst >= -tol and cumulative >= -tol
-    return ok, float(worst), float(cumulative)
+    return ok, worst, cumulative
 
 
 # ---------------------------------------------------------------------------
@@ -476,25 +462,15 @@ def theorem1_check(
     ref_losses = np.empty((horizon, k))
     for t in range(1, horizon + 1):
         ref_losses[t - 1] = [problem.loss(t, r) for r in refs]
-    lhs_running = np.zeros(k)
-    delta_running = np.zeros(k)
-    worst = math.inf
-    final_lhs = final_rhs = 0.0
-    for i in range(horizon):
-        lhs_running += run_result.losses[i] - ref_losses[i]
-        if run_result.h_defined[i]:
-            h_inv = run_result.h_invs[i]
-            before = run_result.xs[i][None, :] - refs
-            after = run_result.xs[i + 1][None, :] - refs
-            delta_running += np.einsum("kd,de,ke->k", before, h_inv, before)
-            delta_running -= np.einsum("kd,de,ke->k", after, h_inv, after)
-        potential_term = run_result.ghs[i] + run_result.phis[i] - run_result.phi_h0
-        rhs = 0.5 * potential_term + 0.5 * delta_running
-        margins = (rhs - lhs_running) / (1.0 + np.abs(rhs))
-        worst = min(worst, float(np.min(margins)))
-        if i == horizon - 1:
-            final_lhs = float(np.max(lhs_running))
-            final_rhs = float(np.min(rhs))
+    lhs_running = np.cumsum(run_result.losses[:, None] - ref_losses, axis=0)
+    delta_running = np.cumsum(
+        np.column_stack([run_result.distance_terms(r) for r in refs]), axis=0
+    )
+    potential_term = run_result.ghs + run_result.phis - run_result.phi_h0
+    rhs = 0.5 * potential_term[:, None] + 0.5 * delta_running
+    worst = float(np.min((rhs - lhs_running) / (1.0 + np.abs(rhs))))
+    final_lhs = float(np.max(lhs_running[-1]))
+    final_rhs = float(np.min(rhs[-1]))
     return Theorem1Report(
         ok=worst >= -tol, worst_margin=worst, final_lhs=final_lhs, final_rhs=final_rhs, n_refs=k
     )

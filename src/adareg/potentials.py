@@ -171,7 +171,8 @@ class RegularizerSolution:
     replicated for the isotropic slice.
 
     ``h`` and ``h_inv`` build validated dense matrices when accessed; the
-    engine's rounds use ``apply``, ``metric`` and ``dense`` instead.
+    engine's rounds use ``apply`` and ``metric`` instead, and a run records
+    ``h_spectrum`` and ``basis`` as they are.
     """
 
     __slots__ = ("h_spectrum", "h_inv_spectrum", "basis", "phi_h", "g_dot_h", "g_spectrum")

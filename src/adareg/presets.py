@@ -346,11 +346,17 @@ def make_preset(algo_id: str, fset: FeasibleSet, **params) -> Preset:
 def build_preset(algo_id, fset, problem, horizon=None, **overrides) -> Preset:
     """A preset wired to a problem, each constant from an override or the problem.
 
-    ``overrides`` are keyed by run flag; ``None`` values and flags the
-    algorithm does not take are ignored.  ``horizon`` lets pnorm tune its
+    ``overrides`` are keyed by run flag; ``None`` values are ignored, and a
+    flag the algorithm neither takes as an option nor as a constant is a
+    :class:`ValidationError` naming it.  ``horizon`` lets pnorm tune its
     eta to an oblivious stream.  ``bound_params`` gains the problem's gamma.
     """
     spec = algorithm_spec(algo_id)
+    taken = set(spec.options).union(name for name, _, _ in spec.constants)
+    unused = sorted(k for k, v in overrides.items() if v is not None and k not in taken)
+    if unused:
+        flags = ", ".join(f"--{k}" for k in unused)
+        raise ValidationError(f"{algo_id} takes no {flags}")
     kw = {spec.options[k]: v for k, v in overrides.items() if k in spec.options and v is not None}
     for name, attribute, missing in spec.constants:
         value = overrides.get(name)

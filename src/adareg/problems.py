@@ -415,14 +415,7 @@ def regret(run_result, problem, x_star) -> RegretRecord:
     horizon = run_result.horizon
     comparator_losses = np.array([problem.loss(t, x_star) for t in range(1, horizon + 1)])
     cum_regret = np.cumsum(run_result.losses - comparator_losses)
-    deltas = np.zeros(horizon)
-    for i in range(horizon):
-        if not run_result.h_defined[i]:
-            continue
-        h_inv = run_result.h_invs[i]
-        before = run_result.xs[i] - x_star
-        after = run_result.xs[i + 1] - x_star
-        deltas[i] = float(before @ h_inv @ before) - float(after @ h_inv @ after)
+    deltas = run_result.distance_terms(x_star)
     return RegretRecord(
         x_star=x_star,
         losses=run_result.losses.copy(),

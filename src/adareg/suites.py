@@ -151,8 +151,11 @@ def _matched_setups(dim=5):
     }
 
 
-def build_matched_preset(algo_id, fset, problem, p=presets.DEFAULT_P, horizon=None):
-    """Preset wired to a problem's declared constants (tuned eta for pnorm)."""
+def build_matched_preset(algo_id, fset, problem, p=None, horizon=None):
+    """Preset wired to a problem's declared constants (tuned eta for pnorm).
+
+    ``p`` is pnorm's exponent; the default ``None`` leaves every preset's own.
+    """
     return presets.build_preset(algo_id, fset, problem, horizon=horizon, p=p)
 
 

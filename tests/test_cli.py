@@ -222,6 +222,56 @@ class TestOverrides:
         assert not (tmp_path / "r.csv").exists()
 
 
+UNUSED_FLAG_CASES = [
+    ("ons-full", "sq-loss", "--epsilon", "5"),
+    ("ons-full", "sq-loss", "--gamma", "100"),
+    ("ons-full", "sq-loss", "--eta", "3"),
+    ("ons-full", "sq-loss", "--p", "4"),
+    ("adagrad-full", "adv-linear", "--beta", "2"),
+    ("adaptive-ogd", "adv-linear", "--epsilon", "0.01"),
+]
+
+
+class TestUnusedFlags:
+    """A run flag the algorithm does not take is a usage error, not a silent no-op."""
+
+    @staticmethod
+    def assert_usage_error(code, capsys, tmp_path, flag):
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and flag in err
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("algo,problem,flag,value", UNUSED_FLAG_CASES)
+    def test_flag(self, tmp_path, monkeypatch, capsys, algo, problem, flag, value):
+        monkeypatch.chdir(tmp_path)
+        code = run_cli(
+            "run", "--algo", algo, "--problem", problem, "--dim", "3", "--horizon", "50",
+            "--seed", "1", "--out", "r.csv", flag, value,
+        )
+        self.assert_usage_error(code, capsys, tmp_path, flag)
+
+    @pytest.mark.parametrize("algo,problem,flag,value", UNUSED_FLAG_CASES)
+    def test_config_key(self, tmp_path, monkeypatch, capsys, algo, problem, flag, value):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "algo": algo, "problem": problem, "dim": 3, "horizon": 50, "seed": 1,
+            flag[2:]: float(value),
+        }))
+        code = run_cli("run", "--config", str(cfg), "--out", "r.csv")
+        self.assert_usage_error(code, capsys, tmp_path, flag)
+
+    def test_gamma_goes_to_the_problem_that_consumes_it(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        plain, base = run_summary(capsys, "adagrad-full", "adv-linear", "ball")
+        code, scaled = run_summary(capsys, "adagrad-full", "adv-linear", "ball", "--gamma", "3")
+        assert (plain, code) == (0, 0)
+        assert scaled["certificate"] == "satisfied"
+        # the gradients, and so the realized regret, scale with gamma
+        assert scaled["final_regret"] != pytest.approx(base["final_regret"])
+
+
 class TestUserSetEtaCertificate:
     def test_adaptive_ogd_certifies_against_its_step_scale(self, tmp_path, monkeypatch, capsys):
         # Before the bound read the user-set scale, this run printed bound

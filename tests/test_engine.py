@@ -11,9 +11,10 @@ from adareg.engine import (
 from adareg.errors import ConfigError
 from adareg.linalg import SymmetricMatrix, matrix_power_psd, min_eigenvalue, psd_geq
 from adareg.potentials import AdaGradPotential, OnsPotential, RegularizerDomain
-from adareg.presets import adagrad_full, adaptive_ogd, make_preset, sc_ogd
-from adareg.problems import OnlineProblem, make_problem
-from adareg.sets import Ball, Unconstrained
+from adareg.oracles import mirror_descent_lemma_check
+from adareg.presets import adagrad_full, adaptive_ogd, build_preset, make_preset, sc_ogd
+from adareg.problems import OnlineProblem, make_problem, regret
+from adareg.sets import Ball, Box, Unconstrained
 
 
 def unconstrained_config(dim, potential, domain, epsilon):
@@ -281,3 +282,119 @@ class TestPresets:
     def test_default_eta_uses_the_diameter(self):
         preset = adagrad_full(Ball(np.zeros(2), 1.0))
         assert preset.config.potential.eta == pytest.approx(2.0 / np.sqrt(2.0))
+
+
+class LateStartProblem(OnlineProblem):
+    """Linear losses with zero gradients for the first ``quiet`` rounds."""
+
+    problem_id = "late-start"
+
+    def __init__(self, dim, seed, feasible_set, quiet):
+        super().__init__(dim, seed, feasible_set, gamma=1.0)
+        self.quiet = quiet
+
+    def loss_and_gradient(self, t, x):
+        g = np.zeros(self.dim)
+        if t > self.quiet:
+            g = self.round_rng(t).standard_normal(self.dim)
+            g /= np.linalg.norm(g)
+        return float(g @ x), g
+
+
+def history_run(case, horizon=40, dim=4, seed=6):
+    """(result, problem, reference point) of one run in each regularizer domain."""
+    ball = Ball(np.zeros(dim), 1.0)
+    box = Box(lower=-0.5 * np.ones(dim), upper=0.5 * np.ones(dim))
+    if case == "adaptive-ogd-late":
+        fset = ball
+        problem = LateStartProblem(dim, seed, fset, quiet=5)
+        preset = adaptive_ogd(fset)
+    else:
+        problem_id, fset = {
+            "adagrad-full": ("adv-linear", ball),
+            "adagrad-diag": ("adv-linear", box),
+            "sc-ogd": ("rot-quad", ball),
+        }[case]
+        problem = make_problem(problem_id, dim, seed, fset, validate=False)
+        preset = build_preset(case, fset, problem)
+    x_ref = 0.5 * fset.sample(np.random.default_rng(seed))
+    return run(preset.config, problem, horizon), problem, x_ref
+
+
+HISTORY_CASES = ("adagrad-full", "adagrad-diag", "sc-ogd", "adaptive-ogd-late")
+
+
+def assert_close(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert np.all(np.abs(actual - expected) <= 1e-10 * (1.0 + np.abs(expected))), (
+        actual, expected,
+    )
+
+
+class TestRunHistory:
+    """What a run's regularizer history answers, against dense recomputations."""
+
+    @pytest.mark.parametrize("case", HISTORY_CASES)
+    def test_regret_deltas_match_dense_inverse(self, case):
+        result, problem, x_ref = history_run(case)
+        deltas = regret(result, problem, x_ref).deltas
+        for i in range(result.horizon):
+            if not result.h_defined[i]:
+                assert deltas[i] == 0.0
+                continue
+            h_inv = np.linalg.inv(result.hs[i])
+            before = result.xs[i] - x_ref
+            after = result.xs[i + 1] - x_ref
+            assert_close(deltas[i], before @ h_inv @ before - after @ h_inv @ after)
+
+    @pytest.mark.parametrize("case", HISTORY_CASES)
+    def test_mirror_lemma_matches_dense_loop(self, case):
+        result, _, x_ref = history_run(case)
+        worst = np.inf
+        lhs_total = rhs_total = 0.0
+        for i in range(result.horizon):
+            g = result.gradients[i]
+            lhs = g @ (result.xs[i] - x_ref)
+            rhs = 0.0
+            if result.h_defined[i]:
+                h = result.hs[i]
+                h_inv = np.linalg.inv(h)
+                before = result.xs[i] - x_ref
+                after = result.xs[i + 1] - x_ref
+                rhs = 0.5 * g @ h @ g + 0.5 * (before @ h_inv @ before - after @ h_inv @ after)
+            worst = min(worst, (rhs - lhs) / (1.0 + abs(rhs)))
+            lhs_total += lhs
+            rhs_total += rhs
+        ok, got_worst, got_cumulative = mirror_descent_lemma_check(result, x_ref)
+        assert ok
+        assert_close(got_worst, worst)
+        assert_close(got_cumulative, (rhs_total - lhs_total) / (1.0 + abs(rhs_total)))
+
+    @pytest.mark.parametrize("case", HISTORY_CASES)
+    def test_dense_history_shape_and_deferred_rows(self, case):
+        result, _, _ = history_run(case)
+        hs = result.hs
+        assert hs.shape == (result.horizon, result.dim, result.dim)
+        assert np.isnan(hs[~result.h_defined]).all()
+        assert np.isfinite(hs[result.h_defined]).all()
+        if case == "adaptive-ogd-late":
+            assert not result.h_defined[:5].any() and result.h_defined[5:].all()
+        else:
+            assert result.h_defined.all()
+
+
+class TestBoundedHistory:
+    """A run keeps O(T d) history outside the full domain and one basis per round in it."""
+
+    @pytest.mark.parametrize("case", HISTORY_CASES)
+    def test_history_is_bounded_outside_the_full_domain(self, case):
+        result, _, _ = history_run(case, horizon=50, dim=6)
+        arrays = {k: v for k, v in vars(result).items() if isinstance(v, np.ndarray)}
+        three_d = sorted(k for k, v in arrays.items() if v.ndim == 3)
+        horizon, dim = result.horizon, result.dim
+        if case == "adagrad-full":
+            assert three_d == ["h_bases"]
+        else:
+            assert three_d == []
+            total = sum(v.nbytes for v in arrays.values())
+            assert total <= 8 * horizon * (6 * dim + 4) + dim * dim
