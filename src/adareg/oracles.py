@@ -103,15 +103,17 @@ def _prefix_minimizers_kink(instance: FtlBtlInstance) -> np.ndarray:
     if not isinstance(domain, Box) or domain.dim != 1:
         raise ValidationError("piecewise-linear instances must live on an interval")
     lo, hi = float(domain.lower[0]), float(domain.upper[0])
-    out = np.empty((len(instance.functions), 1))
-    candidates = [lo, hi]
-    for i, fn in enumerate(instance.functions):
-        candidates.extend(float(k) for k in fn.kinks)
-        grid = np.clip(np.unique(np.asarray(candidates)), lo, hi)
-        totals = np.zeros_like(grid)
-        for prior in instance.functions[: i + 1]:
-            totals += np.array([prior.value(gx) for gx in grid])
-        out[i, 0] = grid[int(np.argmin(totals))]
+    fns = instance.functions
+    # Every prefix's minimizer lies among the domain ends and the kinks seen
+    # so far; keep running totals on the merged grid of all of them.
+    grid = np.unique(np.clip(np.concatenate([[lo, hi], *(fn.kinks for fn in fns)]), lo, hi))
+    seen = np.isin(grid, (lo, hi))
+    totals = np.zeros_like(grid)
+    out = np.empty((len(fns), 1))
+    for i, fn in enumerate(fns):
+        seen[np.searchsorted(grid, np.clip(fn.kinks, lo, hi))] = True
+        totals += np.abs(grid[:, None] - fn.kinks) @ fn.weights + fn.slope * grid
+        out[i, 0] = grid[int(np.argmin(np.where(seen, totals, np.inf)))]
     return out
 
 
@@ -459,9 +461,7 @@ def theorem1_check(
         x_refs = [comparator] + [problem.feasible_set.sample(rng) for _ in range(n_random_refs)]
     refs = np.asarray(x_refs, dtype=float)
     k = refs.shape[0]
-    ref_losses = np.empty((horizon, k))
-    for t in range(1, horizon + 1):
-        ref_losses[t - 1] = [problem.loss(t, r) for r in refs]
+    ref_losses = problem.losses(1, horizon + 1, refs)
     lhs_running = np.cumsum(run_result.losses[:, None] - ref_losses, axis=0)
     delta_running = np.cumsum(
         np.column_stack([run_result.distance_terms(r) for r in refs]), axis=0

@@ -149,9 +149,8 @@ def oblivious_final_spectrum(problem, fset, horizon, epsilon=DEFAULT_EPSILON):
     """Spectrum of eps*I + sum g_t g_t' for an iterate-independent stream."""
     d = fset.dim
     g_sum = epsilon * np.eye(d)
-    for t in range(1, horizon + 1):
-        g = problem.gradient_of_round(t)
-        g_sum += np.outer(g, g)
+    for (g,) in problem.blocks(1, horizon + 1):
+        g_sum += g.T @ g
     return np.linalg.eigvalsh(g_sum)
 
 

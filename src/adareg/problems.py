@@ -19,6 +19,27 @@ Families:
 * ``coord-sq``: sums of per-coordinate squared losses on a box;
   coordinatewise exp-concave.
 
+Round data does not depend on the iterate, so it is drawn in blocks:
+``round_block(t0, t1)`` returns a family's factors stacked over the
+rounds t0 <= t < t1 (the gradients g for ``adv-linear``, (A, z) for
+``rot-quad``, (w, y) for ``sq-loss`` and ``coord-sq``).  Each round is
+still drawn from its own ``round_rng(t)`` in the same order as a lone
+draw, so the streams do not depend on how rounds are grouped; only
+rot-quad's QR runs once per block.  Every reader of round data takes
+blocks of at most :data:`BLOCK_ROUNDS` (64) rounds, a size set by
+memory: the data a problem holds stays bounded whatever the horizon, and
+small runs keep their peak memory.
+
+* ``loss_and_gradient(t, x)``, the run's per-round oracle, reads row t of
+  one cached, read-only block and draws the next block when t leaves it.
+* ``cumulative_quadratic(T)`` sums each block's (A, b, c) for the
+  comparator.
+* ``losses(t0, t1, points)`` returns the (n, k) losses at k points, which
+  ``regret`` and ``oracles.theorem1_check`` read.  The families evaluate
+  them in the factored forms 1/2 (x - z)' A (x - z) and (w . x - y)^2,
+  which do not cancel when x is close to z.
+* ``round_loss_fn(t)`` draws round t once for the constant checks.
+
 Declared constants (gradient bound gamma, strong convexity alpha,
 exp-concavity beta) are checked empirically at construction time with
 sampled-pair inequality tests.
@@ -26,8 +47,9 @@ sampled-pair inequality tests.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -37,6 +59,12 @@ from .sets import Ball, Box, FeasibleSet, minimize_quadratic_over_set, project
 
 GRAD_NORM_SLACK = 1e-9
 _VALIDATION_ROUNDS = 32
+# Rounds per drawn block.  It bounds the round data a problem holds (64 d x d
+# matrices for rot-quad) whatever the horizon.  Blocks are kept small because
+# memory, not speed, sets the size: 32, 64 and 256 rounds ran scalar-d5 equally
+# fast, but 256 raised the peak memory of `adareg verify` (about 0.29 MB) by
+# 74%, while 64 left it and scalar-d5's peak unchanged.
+BLOCK_ROUNDS = 64
 
 
 def _sample_inequality(f, penalty, fset, n_samples, rng, tol):
@@ -115,6 +143,11 @@ class OnlineProblem:
     def loss(self, t: int, x: np.ndarray) -> float:
         return self.loss_and_gradient(t, x)[0]
 
+    def losses(self, t0: int, t1: int, points: np.ndarray) -> np.ndarray:
+        """f_t(p) for rounds t0 <= t < t1 and each row p of ``points``: an (n, k) array."""
+        _block_length(t0, t1)
+        return np.array([[self.loss(t, p) for p in points] for t in range(t0, t1)])
+
     def round_loss_fn(self, t: int) -> Callable:
         return lambda x: self.loss_and_gradient(t, x)
 
@@ -151,7 +184,77 @@ class OnlineProblem:
                 raise ValidationError(f"{self.problem_id}: declared beta_coo failed at round {t}")
 
 
-class AdvLinearProblem(OnlineProblem):
+def _block_length(t0: int, t1: int) -> int:
+    """Number of rounds in the block t0 <= t < t1, which must be a nonempty range from 1."""
+    if t0 < 1:
+        raise ValidationError(f"rounds are numbered from 1, got {t0}")
+    if t1 <= t0:
+        raise ValidationError(f"a block of rounds needs t1 > t0, got t0={t0}, t1={t1}")
+    return t1 - t0
+
+
+class BlockedProblem(OnlineProblem):
+    """A family whose round data is drawn in blocks of rounds.
+
+    A family defines ``round_block(t0, t1)``, its factors stacked over the
+    rounds t0 <= t < t1 with round t drawn from ``round_rng(t)``, plus three
+    kernels on those factors: ``_evaluate`` (loss and gradient of one
+    round), ``_block_losses`` (losses at k points over a block) and
+    ``_block_quadratic`` (a block's summed (A, b, c)).  Everything that reads
+    round data goes through them, one block of at most
+    :data:`BLOCK_ROUNDS` rounds at a time.  Each family also keeps its own
+    one-line ``loss_and_gradient``, which ``perfbench/layers.py`` times per
+    family.
+    """
+
+    _block_start: Optional[int] = None
+    _block: Tuple[np.ndarray, ...] = ()
+
+    def blocks(self, t0: int, t1: int) -> Iterator[Tuple[np.ndarray, ...]]:
+        """``round_block`` over t0 <= t < t1, at most BLOCK_ROUNDS rounds at a time."""
+        _block_length(t0, t1)
+        for start in range(t0, t1, BLOCK_ROUNDS):
+            yield self.round_block(start, min(start + BLOCK_ROUNDS, t1))
+
+    def round_data(self, t: int) -> List[np.ndarray]:
+        """Round t's factors: read-only rows of the cached block that holds t.
+
+        Blocks are aligned to multiples of BLOCK_ROUNDS, so a round reads the
+        same data whatever order the rounds are asked for in.  The rows come
+        as a list: ``tuple(<generator>)`` would fill CPython's free list of
+        small tuples, up to 0.1 MB of the run's peak memory.
+        """
+        start = self._block_start
+        if start is None or not start <= t < start + BLOCK_ROUNDS:
+            if t < 1:
+                raise ValidationError(f"rounds are numbered from 1, got {t}")
+            start = t - (t - 1) % BLOCK_ROUNDS
+            block = self.round_block(start, start + BLOCK_ROUNDS)
+            for factor in block:
+                factor.setflags(write=False)
+            self._block, self._block_start = block, start
+        i = t - start
+        return [factor[i] for factor in self._block]
+
+    def round_loss_fn(self, t: int) -> Callable:
+        """(loss, gradient) of round t as a function of x, with the round drawn once."""
+        return functools.partial(self._evaluate, [f[0] for f in self.round_block(t, t + 1)])
+
+    def losses(self, t0, t1, points):
+        points = np.asarray(points, dtype=float)
+        return np.concatenate([self._block_losses(block, points) for block in self.blocks(t0, t1)])
+
+    def cumulative_quadratic(self, horizon):
+        a_sum, b_sum, c_sum = np.zeros((self.dim, self.dim)), np.zeros(self.dim), 0.0
+        for block in self.blocks(1, horizon + 1):
+            a, b, c = self._block_quadratic(block)
+            a_sum += a
+            b_sum += b
+            c_sum += c
+        return a_sum, b_sum, c_sum
+
+
+class AdvLinearProblem(BlockedProblem):
     """Adversarial-sign linear losses f_t(x) = g_t . x, |g_t| = gamma."""
 
     problem_id = "adv-linear"
@@ -162,23 +265,36 @@ class AdvLinearProblem(OnlineProblem):
         if not (gamma > 0 and np.isfinite(gamma)):
             raise ValidationError(f"gamma must be positive and finite, got {gamma}")
 
-    def gradient_of_round(self, t):
-        rng = self.round_rng(t)
-        signs = rng.integers(0, 2, size=self.dim) * 2 - 1
-        return (self.gamma / np.sqrt(self.dim)) * signs
+    def round_block(self, t0, t1):
+        """(g,) with g (n, d): gamma / sqrt(d) times a random sign vector per round."""
+        bits = np.empty((_block_length(t0, t1), self.dim))
+        for i, t in enumerate(range(t0, t1)):
+            bits[i] = self.round_rng(t).integers(0, 2, size=self.dim)
+        return ((self.gamma / np.sqrt(self.dim)) * (2.0 * bits - 1.0),)
 
-    def loss_and_gradient(self, t, x):
-        g = self.gradient_of_round(t)
+    def gradient_of_round(self, t):
+        return self.round_data(t)[0]
+
+    @staticmethod
+    def _evaluate(data, x):
+        (g,) = data
         return float(g @ x), g
 
-    def cumulative_quadratic(self, horizon):
-        b = np.zeros(self.dim)
-        for t in range(1, horizon + 1):
-            b += self.gradient_of_round(t)
-        return np.zeros((self.dim, self.dim)), b, 0.0
+    def loss_and_gradient(self, t, x):
+        return self._evaluate(self.round_data(t), x)
+
+    @staticmethod
+    def _block_losses(block, points):
+        (g,) = block
+        return g @ points.T
+
+    @staticmethod
+    def _block_quadratic(block):
+        (g,) = block
+        return 0.0, g.sum(axis=0), 0.0
 
 
-class RotQuadProblem(OnlineProblem):
+class RotQuadProblem(BlockedProblem):
     """Randomly rotated quadratics 1/2 (x - z_t)' A_t (x - z_t).
 
     Eigenvalues of A_t lie in [alpha, alpha * kappa] and z_t is drawn
@@ -198,34 +314,44 @@ class RotQuadProblem(OnlineProblem):
         super().__init__(dim, seed, feasible_set, gamma=gamma, alpha=alpha)
         self.kappa = float(kappa)
 
-    def round_data(self, t):
-        rng = self.round_rng(t)
-        q, _ = np.linalg.qr(rng.standard_normal((self.dim, self.dim)))
-        lam = rng.uniform(self.alpha, self.alpha * self.kappa, size=self.dim)
-        a = q @ (lam[:, None] * q.T)
-        a = (a + a.T) / 2.0
-        z = self.feasible_set.sample(rng)
-        return a, z
+    def round_block(self, t0, t1):
+        """(A, z) with A (n, d, d) and z (n, d)."""
+        n, d = _block_length(t0, t1), self.dim
+        gauss, lam, z = np.empty((n, d, d)), np.empty((n, d)), np.empty((n, d))
+        for i, t in enumerate(range(t0, t1)):
+            rng = self.round_rng(t)
+            gauss[i] = rng.standard_normal((d, d))
+            lam[i] = rng.uniform(self.alpha, self.alpha * self.kappa, size=d)
+            z[i] = self.feasible_set.sample(rng)
+        # One stacked QR after the draws: it consumes no random numbers, so
+        # every round's stream is the one a lone draw of that round reads.
+        q, _ = np.linalg.qr(gauss)
+        a = q @ (lam[:, :, None] * np.swapaxes(q, 1, 2))
+        return (a + np.swapaxes(a, 1, 2)) / 2.0, z
 
-    def loss_and_gradient(self, t, x):
-        a, z = self.round_data(t)
+    @staticmethod
+    def _evaluate(data, x):
+        a, z = data
         v = x - z
         return 0.5 * float(v @ a @ v), a @ v
 
-    def cumulative_quadratic(self, horizon):
-        d = self.dim
-        a_sum = np.zeros((d, d))
-        b_sum = np.zeros(d)
-        c_sum = 0.0
-        for t in range(1, horizon + 1):
-            a, z = self.round_data(t)
-            a_sum += a
-            b_sum -= a @ z
-            c_sum += 0.5 * float(z @ a @ z)
-        return a_sum, b_sum, c_sum
+    def loss_and_gradient(self, t, x):
+        return self._evaluate(self.round_data(t), x)
+
+    @staticmethod
+    def _block_losses(block, points):
+        a, z = block
+        v = points[None, :, :] - z[:, None, :]
+        return 0.5 * np.einsum("nkj,nkj->nk", v @ a, v)
+
+    @staticmethod
+    def _block_quadratic(block):
+        a, z = block
+        az = np.einsum("nij,nj->ni", a, z)
+        return a.sum(axis=0), -az.sum(axis=0), 0.5 * float(np.einsum("ni,ni->", z, az))
 
 
-class SqLossProblem(OnlineProblem):
+class SqLossProblem(BlockedProblem):
     """Squared prediction losses (w_t . x - y_t)^2 on a ball.
 
     The labels carry a learnable signal: y_t = w_t . x_true + noise with
@@ -262,32 +388,40 @@ class SqLossProblem(OnlineProblem):
         self.target = x_true
         self.margin = m
 
-    def round_data(self, t):
-        rng = self.round_rng(t)
-        w = rng.standard_normal(self.dim)
-        w *= self.w_scale * rng.uniform(0.5, 1.0) / max(np.linalg.norm(w), 1e-300)
-        y = float(w @ self.target) + rng.uniform(-self.y_scale, self.y_scale)
+    def round_block(self, t0, t1):
+        """(w, y) with w (n, d) and y (n,)."""
+        n = _block_length(t0, t1)
+        w, y = np.empty((n, self.dim)), np.empty(n)
+        for i, t in enumerate(range(t0, t1)):
+            rng = self.round_rng(t)
+            w_t = rng.standard_normal(self.dim)
+            w_t *= self.w_scale * rng.uniform(0.5, 1.0) / max(np.linalg.norm(w_t), 1e-300)
+            w[i] = w_t
+            y[i] = float(w_t @ self.target) + rng.uniform(-self.y_scale, self.y_scale)
         return w, y
 
-    def loss_and_gradient(self, t, x):
-        w, y = self.round_data(t)
-        r = float(w @ x) - y
+    @staticmethod
+    def _evaluate(data, x):
+        w, y = data
+        r = float(w @ x - y)
         return r * r, 2.0 * r * w
 
-    def cumulative_quadratic(self, horizon):
-        d = self.dim
-        a_sum = np.zeros((d, d))
-        b_sum = np.zeros(d)
-        c_sum = 0.0
-        for t in range(1, horizon + 1):
-            w, y = self.round_data(t)
-            a_sum += 2.0 * np.outer(w, w)
-            b_sum -= 2.0 * y * w
-            c_sum += y * y
-        return a_sum, b_sum, c_sum
+    def loss_and_gradient(self, t, x):
+        return self._evaluate(self.round_data(t), x)
+
+    @staticmethod
+    def _block_losses(block, points):
+        w, y = block
+        r = w @ points.T - y[:, None]
+        return r * r
+
+    @staticmethod
+    def _block_quadratic(block):
+        w, y = block
+        return 2.0 * (w.T @ w), -2.0 * (y @ w), float(y @ y)
 
 
-class CoordSqProblem(OnlineProblem):
+class CoordSqProblem(BlockedProblem):
     """Separable per-coordinate squared losses sum_i (w_ti x_i - y_ti)^2 on a box."""
 
     problem_id = "coord-sq"
@@ -309,28 +443,39 @@ class CoordSqProblem(OnlineProblem):
         self.y_scale = float(y_scale)
         self.margins = margins
 
-    def round_data(self, t):
-        rng = self.round_rng(t)
-        w = rng.uniform(-1.0, 1.0, size=self.dim)
-        y = rng.uniform(-self.y_scale, self.y_scale, size=self.dim)
+    def round_block(self, t0, t1):
+        """(w, y) with w (n, d) and y (n, d)."""
+        n = _block_length(t0, t1)
+        w, y = np.empty((n, self.dim)), np.empty((n, self.dim))
+        for i, t in enumerate(range(t0, t1)):
+            rng = self.round_rng(t)
+            w[i] = rng.uniform(-1.0, 1.0, size=self.dim)
+            y[i] = rng.uniform(-self.y_scale, self.y_scale, size=self.dim)
         return w, y
 
-    def loss_and_gradient(self, t, x):
-        w, y = self.round_data(t)
+    @staticmethod
+    def _evaluate(data, x):
+        w, y = data
         r = w * x - y
         return float(r @ r), 2.0 * w * r
 
-    def cumulative_quadratic(self, horizon):
-        d = self.dim
-        a_diag = np.zeros(d)
-        b_sum = np.zeros(d)
-        c_sum = 0.0
-        for t in range(1, horizon + 1):
-            w, y = self.round_data(t)
-            a_diag += 2.0 * w * w
-            b_sum -= 2.0 * w * y
-            c_sum += float(y @ y)
-        return np.diag(a_diag), b_sum, c_sum
+    def loss_and_gradient(self, t, x):
+        return self._evaluate(self.round_data(t), x)
+
+    @staticmethod
+    def _block_losses(block, points):
+        w, y = block
+        r = w[:, None, :] * points[None, :, :] - y[:, None, :]
+        return np.einsum("nkj,nkj->nk", r, r)
+
+    @staticmethod
+    def _block_quadratic(block):
+        w, y = block
+        return (
+            np.diag(2.0 * np.einsum("ni,ni->i", w, w)),
+            -2.0 * np.einsum("ni,ni->i", w, y),
+            float(np.einsum("ni,ni->", y, y)),
+        )
 
 
 PROBLEM_FAMILIES = {
@@ -413,7 +558,7 @@ def regret(run_result, problem, x_star) -> RegretRecord:
     """Assemble the regret record of a finished run against ``x_star``."""
     x_star = np.asarray(x_star, dtype=float)
     horizon = run_result.horizon
-    comparator_losses = np.array([problem.loss(t, x_star) for t in range(1, horizon + 1)])
+    comparator_losses = problem.losses(1, horizon + 1, x_star[None, :])[:, 0]
     cum_regret = np.cumsum(run_result.losses - comparator_losses)
     deltas = run_result.distance_terms(x_star)
     return RegretRecord(

@@ -20,6 +20,7 @@ from adareg.oracles import (
     ftl_btl_check,
     mirror_descent_lemma_check,
     numeric_potential_argmin,
+    prefix_minimizers,
     random_kink_instance,
     random_quadratic_instance,
     regret_bound,
@@ -89,6 +90,25 @@ class TestFtlBtl:
             inst = random_kink_instance(rng, int(rng.integers(1, 21)))
             ok, slack = ftl_btl_check(inst)
             assert ok, f"slack {slack}"
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_kink_minimizers_match_per_prefix_grid_loop(self, seed):
+        def per_prefix_loop(inst):
+            lo, hi = float(inst.domain.lower[0]), float(inst.domain.upper[0])
+            out, candidates = [], [lo, hi]
+            for i, fn in enumerate(inst.functions):
+                candidates.extend(float(k) for k in fn.kinks)
+                grid = np.clip(np.unique(np.asarray(candidates)), lo, hi)
+                totals = np.zeros_like(grid)
+                for prior in inst.functions[: i + 1]:
+                    totals += np.array([prior.value(gx) for gx in grid])
+                out.append([grid[int(np.argmin(totals))]])
+            return np.array(out)
+
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            inst = random_kink_instance(rng, int(rng.integers(1, 21)))
+            np.testing.assert_array_equal(prefix_minimizers(inst), per_prefix_loop(inst))
 
     def test_mixed_function_kinds_rejected(self):
         with pytest.raises(ValidationError):
