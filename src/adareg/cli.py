@@ -147,8 +147,12 @@ def cmd_run(args, parser) -> int:
             parser.error(f"run requires --{flag}")
     if args.horizon < 1:
         parser.error(f"--horizon must be at least 1, got {args.horizon}")
-    if getattr(args, "set") == "none" and args.diameter is None:
-        parser.error("--set none requires --diameter (declared scale for the guarantees)")
+    if getattr(args, "set") == "none":
+        if args.diameter is None:
+            parser.error("--set none requires --diameter (declared scale for the guarantees)")
+        if args.problem == "adv-linear":
+            parser.error("adv-linear requires a bounded feasible set: a linear loss has "
+                         "no best fixed point over --set none")
     started = time.perf_counter()
     fset = _build_set(args)
     overrides = {flag: getattr(args, flag) for flag in _PRESET_FLAGS}
@@ -196,12 +200,33 @@ def cmd_run(args, parser) -> int:
         "wall_time_s": round(wall, 3),
     }
     summary_lines = [f"{key}: {_plain(value)}" for key, value in payload.items()]
+    payload["metrics"] = _run_metrics(result)
     summary_lines.append("json: " + json.dumps(payload, sort_keys=True))
     summary = "\n".join(summary_lines) + "\n"
     sys.stdout.write(summary)
     if args.summary_out:
         _atomic_write(args.summary_out, summary)
     return 0 if cert.satisfied else 1
+
+
+def _run_metrics(result) -> dict:
+    """Counts from the run's rounds and the spectrum of G_T, for the JSON summary.
+
+    ``g_min_eig`` and ``g_cond`` read the last defined row of ``g_spectra``
+    (G_T as the domain sees it); both are null when every round deferred.
+    """
+    metrics = {
+        "projection_active": result.projection_active,
+        "deferred_rounds": result.deferred_rounds,
+        "g_min_eig": None,
+        "g_cond": None,
+    }
+    defined = np.flatnonzero(result.h_defined)
+    if defined.size:
+        spectrum = result.g_spectra[defined[-1]]
+        metrics["g_min_eig"] = float(spectrum.min())
+        metrics["g_cond"] = float(spectrum.max() / spectrum.min())
+    return metrics
 
 
 def _plain(value):

@@ -17,6 +17,26 @@ round; ``H_t``, ``H_t^{-1}`` and the ball or box projection all reuse
 its eigenvectors.  Dense ``SymmetricMatrix`` views of ``G_t`` and
 ``H_t`` are built only when a caller asks for them.
 
+``step`` and ``run`` share one round rule, a kernel that owns a mutable
+accumulator and updates it in place (``diag += g*g``, ``trace += g.g``
+or ``G += g g'``); ``step`` runs one kernel round on a copy of its
+state, so a state is never changed once handed out.  Each fact is checked
+where it can first fail:
+
+* every round: the gradient has the right shape and is finite, by one
+  reduction, |g|^2, whose running sum also keeps ``G_t`` finite;
+* once, at the first solve that succeeds: positivity of a diagonal or
+  isotropic accumulator, which only grows afterwards;
+* every solve, in the full domain only: the round-off clamp and the
+  positivity of the freshly computed spectrum of ``G_t``.
+
+Each round still calls :func:`adareg.potentials.solve_regularizer` and
+:func:`adareg.sets.project` through this module's names.  After a round
+the kernel exposes the solve (the spectrum of ``H_t`` and, in the full
+domain, its basis), whether the projection moved the point, and the new
+iterate; a run counts projection activations and deferred rounds from
+that.
+
 A run records the full trajectory: iterates, gradients, losses, the
 per-round potential values and ``H_t`` in the form the solve produced
 it, its spectrum plus (full domain only) its eigenbasis.  The
@@ -111,7 +131,8 @@ class AdaRegState:
     dense matrices when accessed.  ``g_mat`` is the accumulator as the
     domain sees it: G_t for the full domain, ``diag(G_t)`` for the diagonal
     one and ``(tr G_t / d) * I`` for the isotropic one.  ``h_mat`` is H_t,
-    or ``None`` while deferred.
+    or ``None`` while deferred.  The accumulator object is mutable, but no
+    round folds into one that a state holds.
     """
 
     t: int
@@ -129,11 +150,52 @@ class AdaRegState:
         return None if self.solution is None else self.solution.h
 
 
-def _solve_or_defer(config: AdaRegConfig, acc: Accumulator) -> Optional[RegularizerSolution]:
-    """Regularizer for the current accumulator, or None when deferred."""
-    if config.domain is RegularizerDomain.ISOTROPIC and acc.trace <= 0.0:
-        return None
-    return solve_regularizer(config.potential, acc, config.domain)
+class _Kernel:
+    """One round loop's mutable state: the rule ``step`` and ``run`` share.
+
+    The kernel owns a copy of its starting state's accumulator and folds
+    each gradient into it in place, so no state handed out is ever
+    changed.  A round checks the gradient's shape and finiteness (one
+    reduction, in :meth:`Accumulator.fold`); positivity of a diagonal or
+    isotropic accumulator is checked by its first successful solve and
+    holds from then on.  After ``round`` the kernel exposes the round's
+    outcome: ``solution`` (the spectrum ``h_spectrum`` of H_t and, in the
+    full domain, its ``basis``; ``None`` while deferred), ``projected``
+    (whether the projection moved the point) and ``x``, the new iterate.
+    """
+
+    __slots__ = ("config", "t", "x", "acc", "solution", "projected")
+
+    def __init__(self, state: AdaRegState):
+        self.config = state.config
+        self.t = state.t
+        self.x = state.x
+        self.acc = state.accumulator.copy()
+        self.solution = state.solution
+        self.projected = False
+
+    def round(self, g) -> None:
+        """Fold g into G, reselect H, take the projected step."""
+        config = self.config
+        g = np.asarray(g, dtype=float)
+        acc = self.acc
+        acc.fold(g)
+        self.t += 1
+        self.projected = False
+        if acc.deferred:
+            self.solution = None
+            return
+        solution = solve_regularizer(config.potential, acc, config.domain)
+        moved = self.x - solution.apply(g)
+        x = project(moved, config.feasible_set, solution.metric)
+        self.solution = solution
+        self.projected = x is not moved
+        self.x = x
+
+    def state(self) -> AdaRegState:
+        return AdaRegState(
+            t=self.t, x=self.x, accumulator=self.acc, solution=self.solution, config=self.config
+        )
 
 
 def init(config: AdaRegConfig) -> AdaRegState:
@@ -144,28 +206,27 @@ def init(config: AdaRegConfig) -> AdaRegState:
     raises a configuration error because its bookkeeping term diverges.
     """
     acc = accumulator_for(config.domain, config.g0)
-    try:
-        solution = _solve_or_defer(config, acc)
-    except SingularMatrixError as exc:
-        if math.isinf(config.potential.phi_limit_at_inf):
-            raise ConfigError(
-                "singular g0 is not admissible for the log-determinant potential; "
-                "seed the accumulator with epsilon * I"
-            ) from exc
-        solution = None
+    solution = None
+    if not acc.deferred:
+        try:
+            solution = solve_regularizer(config.potential, acc, config.domain)
+        except SingularMatrixError as exc:
+            if math.isinf(config.potential.phi_limit_at_inf):
+                raise ConfigError(
+                    "singular g0 is not admissible for the log-determinant potential; "
+                    "seed the accumulator with epsilon * I"
+                ) from exc
     return AdaRegState(t=0, x=config.x1, accumulator=acc, solution=solution, config=config)
 
 
 def step(state: AdaRegState, g: np.ndarray) -> AdaRegState:
-    """One round: fold g into the accumulator, reselect H, take the projected step."""
-    config = state.config
-    g = np.asarray(g, dtype=float)
-    acc = state.accumulator.add(g)
-    solution = _solve_or_defer(config, acc)
-    x_next = state.x
-    if solution is not None:
-        x_next = project(state.x - solution.apply(g), config.feasible_set, solution.metric)
-    return AdaRegState(t=state.t + 1, x=x_next, accumulator=acc, solution=solution, config=config)
+    """One round: fold g into the accumulator, reselect H, take the projected step.
+
+    The round runs on a copy, so ``state`` is left as it was.
+    """
+    kernel = _Kernel(state)
+    kernel.round(g)
+    return kernel.state()
 
 
 def mirror_step_argmin(
@@ -214,7 +275,9 @@ class RunResult:
     on access.  ``phis`` and ``ghs`` record ``Phi(H_t)`` and
     ``<G_t, H_t>``; ``g_spectra`` holds the spectrum of the accumulator as
     seen by the regularizer domain (eigenvalues, diagonal entries, or the
-    mean eigenvalue replicated).
+    mean eigenvalue replicated).  ``projection_active`` counts the rounds
+    whose projection moved the point and ``deferred_rounds`` the rounds
+    played while the regularizer was undefined; both are plain ints.
     """
 
     config: AdaRegConfig
@@ -229,6 +292,8 @@ class RunResult:
     g_spectra: np.ndarray
     phi_h0: float
     final_state: AdaRegState = field(repr=False)
+    projection_active: int = 0
+    deferred_rounds: int = 0
 
     @property
     def horizon(self) -> int:
@@ -271,8 +336,8 @@ def run(config: AdaRegConfig, problem, horizon: int) -> RunResult:
     if horizon < 1:
         raise ValidationError(f"horizon must be at least 1, got {horizon}")
     d = config.dim
-    state = init(config)
-    phi_h0 = state.solution.phi_h if state.solution is not None else 0.0
+    kernel = _Kernel(init(config))
+    phi_h0 = kernel.solution.phi_h if kernel.solution is not None else 0.0
     xs = np.empty((horizon + 1, d))
     gradients = np.empty((horizon, d))
     losses = np.empty(horizon)
@@ -282,17 +347,21 @@ def run(config: AdaRegConfig, problem, horizon: int) -> RunResult:
     phis = np.zeros(horizon)
     ghs = np.zeros(horizon)
     g_spectra = np.zeros((horizon, d))
-    xs[0] = state.x
+    projection_active = 0
+    deferred_rounds = 0
+    xs[0] = kernel.x
     for t in range(1, horizon + 1):
-        loss, g = problem.loss_and_gradient(t, state.x)
-        state = step(state, g)
+        loss, g = problem.loss_and_gradient(t, kernel.x)
+        kernel.round(g)
         i = t - 1
         losses[i] = loss
         gradients[i] = g
-        xs[t] = state.x
-        solution = state.solution
+        xs[t] = kernel.x
+        solution = kernel.solution
         if solution is None:
+            deferred_rounds += 1
             continue
+        projection_active += kernel.projected
         h_defined[i] = True
         h_spectra[i] = solution.h_spectrum
         if h_bases is not None:
@@ -312,5 +381,7 @@ def run(config: AdaRegConfig, problem, horizon: int) -> RunResult:
         ghs=ghs,
         g_spectra=g_spectra,
         phi_h0=phi_h0,
-        final_state=state,
+        final_state=kernel.state(),
+        projection_active=projection_active,
+        deferred_rounds=deferred_rounds,
     )

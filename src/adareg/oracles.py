@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, ValidationError
 from .linalg import SymmetricMatrix, clamp_spectrum
-from .potentials import RegularizerDomain, SpectralPotential, potential_value
+from .potentials import RegularizerDomain, SpectralPotential
 from .presets import ALGORITHMS, algorithm_spec
 from .problems import best_fixed_comparator
 from .sets import Box, FeasibleSet, project

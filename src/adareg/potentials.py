@@ -24,6 +24,7 @@ recovers ``(beta G)^{-1}``; the inverse-power family
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,11 @@ class SpectralPotential:
     ``phi``, ``phi_prime`` and ``phi_prime_inverse`` accept scalars or
     arrays and evaluate elementwise.  ``phi_prime`` is strictly
     decreasing on (0, inf) for every family here, so the inverse is
-    well defined on (0, inf).
+    well defined on (0, inf).  Each family writes phi and (phi')^{-1}
+    once, as ``_phi`` and ``_phi_prime_inverse``: the public methods check
+    that the argument is positive and finite and then call them, and the
+    accumulators' solves, whose arguments are positive by construction,
+    call them directly.
     """
 
     #: limit of phi(x) as x -> inf; finite (zero) for the inverse-trace and
@@ -54,12 +59,20 @@ class SpectralPotential:
     phi_limit_at_inf: float = 0.0
 
     def phi(self, x):
-        raise NotImplementedError
+        return self._phi(self._require_positive(x, "phi argument"))
 
     def phi_prime(self, x):
         raise NotImplementedError
 
     def phi_prime_inverse(self, y):
+        return self._phi_prime_inverse(self._require_positive(y, "phi' inverse argument"))
+
+    def _phi(self, x):
+        """phi without the argument check; callers pass values known positive."""
+        raise NotImplementedError
+
+    def _phi_prime_inverse(self, y):
+        """(phi')^{-1} without the argument check; callers pass values known positive."""
         raise NotImplementedError
 
     def _require_positive(self, v, what: str):
@@ -80,16 +93,14 @@ class AdaGradPotential(SpectralPotential):
         if not (self.eta > 0 and np.isfinite(self.eta)):
             raise ValidationError(f"eta must be positive and finite, got {self.eta}")
 
-    def phi(self, x):
-        x = self._require_positive(x, "phi argument")
+    def _phi(self, x):
         return -self.eta**2 / x
 
     def phi_prime(self, x):
         x = self._require_positive(x, "phi' argument")
         return self.eta**2 / x**2
 
-    def phi_prime_inverse(self, y):
-        y = self._require_positive(y, "phi' inverse argument")
+    def _phi_prime_inverse(self, y):
         return self.eta / np.sqrt(y)
 
 
@@ -104,16 +115,14 @@ class OnsPotential(SpectralPotential):
         if not (self.beta > 0 and np.isfinite(self.beta)):
             raise ValidationError(f"beta must be positive and finite, got {self.beta}")
 
-    def phi(self, x):
-        x = self._require_positive(x, "phi argument")
+    def _phi(self, x):
         return np.log(x) / self.beta
 
     def phi_prime(self, x):
         x = self._require_positive(x, "phi' argument")
         return 1.0 / (self.beta * x)
 
-    def phi_prime_inverse(self, y):
-        y = self._require_positive(y, "phi' inverse argument")
+    def _phi_prime_inverse(self, y):
         return 1.0 / (self.beta * y)
 
 
@@ -133,16 +142,14 @@ class PNormPotential(SpectralPotential):
         if not (0.0 < self.p <= 16.0):
             raise ValidationError(f"p must lie in (0, 16], got {self.p}")
 
-    def phi(self, x):
-        x = self._require_positive(x, "phi argument")
+    def _phi(self, x):
         return -(self.eta ** (self.p + 1) / self.p) * x ** (-self.p)
 
     def phi_prime(self, x):
         x = self._require_positive(x, "phi' argument")
         return self.eta ** (self.p + 1) * x ** (-(self.p + 1))
 
-    def phi_prime_inverse(self, y):
-        y = self._require_positive(y, "phi' inverse argument")
+    def _phi_prime_inverse(self, y):
         return self.eta * y ** (-1.0 / (self.p + 1))
 
 
@@ -178,6 +185,12 @@ class RegularizerSolution:
     __slots__ = ("h_spectrum", "h_inv_spectrum", "basis", "phi_h", "g_dot_h", "g_spectrum")
 
     def __init__(self, h_spectrum, basis, phi_h, g_dot_h, g_spectrum):
+        # H past the float range (H = 0 or inf at extreme G) shows up in these two sums
+        if not (math.isfinite(phi_h) and math.isfinite(g_dot_h)):
+            raise DomainError(
+                f"regularizer outside the floating-point range: Phi(H) = {phi_h!r}, "
+                f"<G, H> = {g_dot_h!r}"
+            )
         self.h_spectrum = h_spectrum
         self.h_inv_spectrum = 1.0 / h_spectrum
         self.basis = basis
@@ -225,23 +238,49 @@ class Accumulator:
     The closed forms need all of G only on the full cone; the diagonal
     slice reads ``diag(G)`` and the isotropic slice ``tr(G)``, so their
     accumulators hold a d-vector and a scalar and never form a d x d array.
-    ``add`` returns a new accumulator, ``solve`` the closed-form minimizer,
-    and ``matrix`` rebuilds G as the domain sees it (G, ``diag(G)`` or
-    ``tr(G) / d * I``) for callers outside the round loop.
+
+    An accumulator is mutable: ``fold`` adds one gradient in place and
+    ``copy`` gives an independent one, so a run folds into a single
+    accumulator and a caller that keeps the old one folds into a copy.
+    ``fold`` checks each gradient with one reduction, |g|^2, and keeps the
+    running sum ``mass`` of those, which bounds every entry of G - G_0.
+    ``solve`` gives the closed-form minimizer.  The diagonal and isotropic
+    slices check positivity only until a solve first succeeds: folding
+    adds nonnegative terms, so it holds from then on.  The full cone
+    checks its freshly computed spectrum on every solve.  ``deferred``
+    is true while the isotropic trace is not positive, the degenerate
+    start during which a run replays its iterate.  ``matrix`` rebuilds G
+    as the domain sees it (G, ``diag(G)`` or ``tr(G) / d * I``) for callers
+    outside the round loop.
     """
 
-    __slots__ = ("dim",)
+    __slots__ = ("dim", "mass", "positive")
     domain: RegularizerDomain
+    deferred = False
 
-    def _checked(self, g) -> np.ndarray:
-        g = np.asarray(g, dtype=float)
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.mass = 0.0
+        self.positive = False
+
+    def fold(self, g: np.ndarray) -> None:
+        """G += g g' in place, for a float array g of the accumulator's dimension."""
         if g.shape != (self.dim,):
             raise ValidationError(f"vector shape {g.shape} does not match dimension {self.dim}")
-        if not np.isfinite(g).all():
-            raise ValidationError("gradient entries must be finite")
-        return g
+        gg = float(g @ g)
+        mass = self.mass + gg
+        # NaN or inf in g makes |g|^2 nonfinite; so does a sum of squares past the float range
+        if not mass < math.inf:
+            if not np.isfinite(g).all():
+                raise ValidationError("gradient entries must be finite")
+            raise DomainError(f"accumulated squared gradient norm overflows: {mass!r}")
+        self.mass = mass
+        self._fold(g, gg)
 
-    def add(self, g) -> "Accumulator":
+    def _fold(self, g: np.ndarray, gg: float) -> None:
+        raise NotImplementedError
+
+    def copy(self) -> "Accumulator":
         raise NotImplementedError
 
     def solve(self, potential: SpectralPotential) -> RegularizerSolution:
@@ -249,6 +288,19 @@ class Accumulator:
 
     def matrix(self) -> SymmetricMatrix:
         raise NotImplementedError
+
+    def _copied(self, new: "Accumulator") -> "Accumulator":
+        new.mass = self.mass
+        new.positive = self.positive
+        return new
+
+
+def _solution(potential, g_spectrum, basis) -> RegularizerSolution:
+    """H from the positive spectrum of G seen by the domain, with Phi(H) and <G, H>."""
+    h = potential._phi_prime_inverse(g_spectrum)
+    phi_h = float(-potential._phi(h).sum())
+    g_dot_h = float((g_spectrum * h).sum())
+    return RegularizerSolution(h, basis, phi_h, g_dot_h, g_spectrum)
 
 
 class FullAccumulator(Accumulator):
@@ -258,49 +310,50 @@ class FullAccumulator(Accumulator):
     domain = RegularizerDomain.FULL
 
     def __init__(self, mat: np.ndarray):
-        self.dim = mat.shape[0]
+        super().__init__(mat.shape[0])
         self.mat = mat
 
-    def add(self, g):
-        g = self._checked(g)
-        mat = np.outer(g, g)
-        mat += self.mat
-        return FullAccumulator(mat)
+    def _fold(self, g, gg):
+        self.mat += np.outer(g, g)
+
+    def copy(self):
+        return self._copied(FullAccumulator(self.mat.copy()))
 
     def solve(self, potential):
         dec = eig_sym(self.mat)
         lam = clamp_spectrum(dec.eigenvalues)
         _check_positive_spectrum(lam, "full")
-        h_lam = np.asarray(potential.phi_prime_inverse(lam), dtype=float)
-        phi_h = float(-np.sum(potential.phi(h_lam)))
-        g_dot_h = float(np.sum(lam * h_lam))
-        return RegularizerSolution(h_lam, dec.eigenvectors, phi_h, g_dot_h, lam)
+        return _solution(potential, lam, dec.eigenvectors)
 
     def matrix(self):
         return SymmetricMatrix(self.mat)
 
 
 class DiagonalAccumulator(Accumulator):
-    """The diagonal of G."""
+    """The diagonal of G.
+
+    A solved regularizer's ``g_spectrum`` is this accumulator's own
+    diagonal, so it changes with the next fold.
+    """
 
     __slots__ = ("diag",)
     domain = RegularizerDomain.DIAGONAL
 
     def __init__(self, diag: np.ndarray):
-        self.dim = diag.shape[0]
+        super().__init__(diag.shape[0])
         self.diag = diag
 
-    def add(self, g):
-        g = self._checked(g)
-        return DiagonalAccumulator(self.diag + g * g)
+    def _fold(self, g, gg):
+        self.diag += g * g
+
+    def copy(self):
+        return self._copied(DiagonalAccumulator(self.diag.copy()))
 
     def solve(self, potential):
-        v = clamp_spectrum(self.diag)
-        _check_positive_spectrum(v, "diagonal")
-        h_v = np.asarray(potential.phi_prime_inverse(v), dtype=float)
-        phi_h = float(-np.sum(potential.phi(h_v)))
-        g_dot_h = float(np.sum(v * h_v))
-        return RegularizerSolution(h_v, None, phi_h, g_dot_h, v)
+        if not self.positive:
+            _check_positive_spectrum(self.diag, "diagonal")
+            self.positive = True
+        return _solution(potential, self.diag, None)
 
     def matrix(self):
         return SymmetricMatrix.from_diagonal(self.diag)
@@ -313,22 +366,31 @@ class IsotropicAccumulator(Accumulator):
     domain = RegularizerDomain.ISOTROPIC
 
     def __init__(self, trace: float, dim: int):
-        self.dim = dim
+        super().__init__(dim)
         self.trace = trace
 
-    def add(self, g):
-        g = self._checked(g)
-        return IsotropicAccumulator(self.trace + float(g @ g), self.dim)
+    @property
+    def deferred(self) -> bool:
+        return self.trace <= 0.0
+
+    def _fold(self, g, gg):
+        self.trace += gg
+
+    def copy(self):
+        return self._copied(IsotropicAccumulator(self.trace, self.dim))
 
     def solve(self, potential):
         d = self.dim
         m = self.trace / d
-        if m <= 0.0:
-            raise SingularMatrixError(
-                f"isotropic regularizer undefined: mean eigenvalue {m:.6e} is nonpositive"
-            )
-        s = float(potential.phi_prime_inverse(m))
-        phi_h = float(-d * potential.phi(s))
+        if not self.positive:
+            if m <= 0.0:
+                raise SingularMatrixError(
+                    f"isotropic regularizer undefined: mean eigenvalue {m:.6e} is nonpositive"
+                )
+            self.positive = True
+        # 0-d arrays take the same ufunc loops as the checked public path
+        s = float(potential._phi_prime_inverse(np.asarray(m)))
+        phi_h = float(-d * potential._phi(np.asarray(s)))
         g_dot_h = float(self.trace * s)
         return RegularizerSolution(np.full(d, s), None, phi_h, g_dot_h, np.full(d, m))
 

@@ -33,7 +33,7 @@ small runs keep their peak memory.
 * ``loss_and_gradient(t, x)``, the run's per-round oracle, reads row t of
   one cached, read-only block and draws the next block when t leaves it.
 * ``cumulative_quadratic(T)`` sums each block's (A, b, c) for the
-  comparator.
+  comparator, and keeps the last sum, keyed by T.
 * ``losses(t0, t1, points)`` returns the (n, k) losses at k points, which
   ``regret`` and ``oracles.theorem1_check`` read.  The families evaluate
   them in the factored forms 1/2 (x - z)' A (x - z) and (w . x - y)^2,
@@ -209,6 +209,8 @@ class BlockedProblem(OnlineProblem):
 
     _block_start: Optional[int] = None
     _block: Tuple[np.ndarray, ...] = ()
+    _quadratic_horizon: Optional[int] = None
+    _quadratic: Tuple = ()
 
     def blocks(self, t0: int, t1: int) -> Iterator[Tuple[np.ndarray, ...]]:
         """``round_block`` over t0 <= t < t1, at most BLOCK_ROUNDS rounds at a time."""
@@ -245,13 +247,24 @@ class BlockedProblem(OnlineProblem):
         return np.concatenate([self._block_losses(block, points) for block in self.blocks(t0, t1)])
 
     def cumulative_quadratic(self, horizon):
+        """(A, b, c) over the first ``horizon`` rounds, as read-only arrays.
+
+        The last result is kept, keyed by horizon, so a caller that asks
+        again for the same horizon (a regret check, then the comparator)
+        draws the rounds once.  It holds O(d^2) floats whatever the horizon.
+        """
+        if self._quadratic_horizon == horizon:
+            return self._quadratic
         a_sum, b_sum, c_sum = np.zeros((self.dim, self.dim)), np.zeros(self.dim), 0.0
         for block in self.blocks(1, horizon + 1):
             a, b, c = self._block_quadratic(block)
             a_sum += a
             b_sum += b
             c_sum += c
-        return a_sum, b_sum, c_sum
+        a_sum.setflags(write=False)
+        b_sum.setflags(write=False)
+        self._quadratic_horizon, self._quadratic = horizon, (a_sum, b_sum, c_sum)
+        return self._quadratic
 
 
 class AdvLinearProblem(BlockedProblem):

@@ -18,7 +18,8 @@ routines so the two can be checked against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -118,8 +119,9 @@ class Ball(FeasibleSet):
         return self.center.shape[0]
 
     def contains(self, x, tol=1e-9):
-        x = np.asarray(x, dtype=float)
-        return float(np.linalg.norm(x - self.center)) <= self.radius + tol * max(1.0, self.radius)
+        v = np.asarray(x, dtype=float) - self.center
+        # sqrt(v . v) is how np.linalg.norm computes a vector's norm, without its dispatch
+        return math.sqrt(float(v.dot(v))) <= self.radius + tol * max(1.0, self.radius)
 
     def diameter(self, norm="euclidean"):
         if norm not in ("euclidean", "infinity"):
@@ -149,10 +151,15 @@ class Ball(FeasibleSet):
 
 @dataclass(frozen=True)
 class Box(FeasibleSet):
-    """Axis-aligned box {x : lower <= x <= upper}."""
+    """Axis-aligned box {x : lower <= x <= upper}.
+
+    ``contains`` scales its tolerance by ``max(1, widest side)``, computed
+    once at construction.
+    """
 
     lower: np.ndarray
     upper: np.ndarray
+    _scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=float)
@@ -167,6 +174,7 @@ class Box(FeasibleSet):
         hi.setflags(write=False)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
+        object.__setattr__(self, "_scale", max(1.0, float((hi - lo).max())))
 
     @property
     def dim(self) -> int:
@@ -174,8 +182,8 @@ class Box(FeasibleSet):
 
     def contains(self, x, tol=1e-9):
         x = np.asarray(x, dtype=float)
-        width = max(1.0, float((self.upper - self.lower).max()))
-        return bool((x >= self.lower - tol * width).all() and (x <= self.upper + tol * width).all())
+        band = tol * self._scale
+        return bool(((x >= self.lower - band) & (x <= self.upper + band)).all())
 
     def diameter(self, norm="euclidean"):
         if norm == "euclidean":
@@ -289,7 +297,9 @@ def _clip(x: np.ndarray, box: Box, diag: np.ndarray) -> np.ndarray:
         raise DomainError("projection metric must be positive definite")
     # Diagonal metric: the objective separates per coordinate, so the
     # weighted projection is the plain clip regardless of the weights.
-    return np.clip(x, box.lower, box.upper)
+    # np.minimum(np.maximum(...)) is the clip for lower < upper, at a
+    # quarter of np.clip's call overhead.
+    return np.minimum(np.maximum(x, box.lower), box.upper)
 
 
 def _project_box(x: np.ndarray, box: Box, hm: np.ndarray, lam: Optional[np.ndarray]):
