@@ -32,18 +32,18 @@ where it can first fail:
 
 Each round still calls :func:`adareg.potentials.solve_regularizer` and
 :func:`adareg.sets.project` through this module's names.  After a round
-the kernel exposes the solve (the spectrum of ``H_t`` and, in the full
-domain, its basis), whether the projection moved the point, and the new
-iterate; a run counts projection activations and deferred rounds from
-that.
+the kernel exposes the solve, whether the projection moved the point, the
+new iterate and the round's two regret-decomposition terms; a run counts
+projection activations and deferred rounds from that.
 
-A run records the full trajectory: iterates, gradients, losses, the
-per-round potential values and ``H_t`` in the form the solve produced
-it, its spectrum plus (full domain only) its eigenbasis.  The
-verification oracles read ``H_t`` through :meth:`RunResult.sq_norms` and
-:meth:`RunResult.distance_terms`, so only this module knows the history
-format.  The projection metric and the distance terms reported for
-analysis both use ``H_t^{-1}``.
+A run records iterates, gradients, losses, ``Phi(H_t)``, ``<G_t, H_t>``
+and, in place of ``H_t``, the two terms the analysis reads from it: the
+local norm ``|g_t|^2_{H_t}`` and the dual step
+``v_t = H_t^{-1} (x_t - x_{t+1})`` (``g_t`` itself unless the projection
+moved the point).  So its history is O(T d) in every domain, and the
+telescoping distance in the ``H_t^{-1}`` norm is affine in the reference:
+``|x_t - x|^2 - |x_{t+1} - x|^2 = v_t . (x_t + x_{t+1} - 2 x)``.  Dense
+``H_t`` comes from a state (``state.h_mat``).
 
 A degenerate start with ``G_0 = 0`` is allowed when the potential's
 value vanishes for arbitrarily large regularizers (the inverse-trace and
@@ -159,12 +159,14 @@ class _Kernel:
     reduction, in :meth:`Accumulator.fold`); positivity of a diagonal or
     isotropic accumulator is checked by its first successful solve and
     holds from then on.  After ``round`` the kernel exposes the round's
-    outcome: ``solution`` (the spectrum ``h_spectrum`` of H_t and, in the
-    full domain, its ``basis``; ``None`` while deferred), ``projected``
-    (whether the projection moved the point) and ``x``, the new iterate.
+    outcome: ``solution`` (H_t as solved; ``None`` while deferred),
+    ``projected`` (whether the projection moved the point), ``x``, the new
+    iterate, and, when ``solution`` is set, ``local_norm`` = |g_t|^2_{H_t}
+    and ``dual_step`` = H_t^{-1} (x_t - x_{t+1}), which is g_t itself
+    unless the projection moved the point.
     """
 
-    __slots__ = ("config", "t", "x", "acc", "solution", "projected")
+    __slots__ = ("config", "t", "x", "acc", "solution", "projected", "local_norm", "dual_step")
 
     def __init__(self, state: AdaRegState):
         self.config = state.config
@@ -186,10 +188,13 @@ class _Kernel:
             self.solution = None
             return
         solution = solve_regularizer(config.potential, acc, config.domain)
-        moved = self.x - solution.apply(g)
+        hg = solution.apply(g)
+        moved = self.x - hg
         x = project(moved, config.feasible_set, solution.metric)
         self.solution = solution
+        self.local_norm = g.dot(hg)
         self.projected = x is not moved
+        self.dual_step = solution.apply(self.x - x, inverse=True) if self.projected else g
         self.x = x
 
     def state(self) -> AdaRegState:
@@ -265,27 +270,24 @@ class RunResult:
     """Complete trajectory of one run over a fixed horizon.
 
     Arrays are indexed by round: ``xs[t-1]`` is the iterate played at
-    round t and ``xs[T]`` the final post-update point.  ``H_t`` is kept as
-    the solve produced it: ``h_spectra`` (T, d) holds its eigenvalues, and
-    ``h_bases`` (T, d, d) the matching eigenvector columns in the full
-    domain only; elsewhere ``H_t`` is diagonal, ``h_spectra`` is its
-    diagonal and ``h_bases`` is ``None``.  ``H_t^{-1}`` is ``1 / h_spectra``
-    in the same basis.  Rows of ``h_spectra`` are NaN while deferred,
-    flagged in ``h_defined``.  ``hs`` builds the dense (T, d, d) sequence
-    on access.  ``phis`` and ``ghs`` record ``Phi(H_t)`` and
-    ``<G_t, H_t>``; ``g_spectra`` holds the spectrum of the accumulator as
-    seen by the regularizer domain (eigenvalues, diagonal entries, or the
-    mean eigenvalue replicated).  ``projection_active`` counts the rounds
-    whose projection moved the point and ``deferred_rounds`` the rounds
-    played while the regularizer was undefined; both are plain ints.
+    round t and ``xs[T]`` the final post-update point.  ``local_norms``
+    holds |g_t|^2_{H_t} and ``dual_steps`` (T, d) holds
+    v_t = H_t^{-1} (x_t - x_{t+1}), which :meth:`distance_terms` reads;
+    both are 0 while deferred, as flagged in ``h_defined``.  ``phis``
+    and ``ghs`` record ``Phi(H_t)`` and ``<G_t, H_t>``; ``g_spectra``
+    holds the spectrum of the accumulator as seen by the regularizer
+    domain (eigenvalues, diagonal entries, or the mean eigenvalue
+    replicated).  ``projection_active`` counts the rounds whose
+    projection moved the point and ``deferred_rounds`` the rounds played
+    while the regularizer was undefined; both are plain ints.
     """
 
     config: AdaRegConfig
     xs: np.ndarray
     gradients: np.ndarray
     losses: np.ndarray
-    h_spectra: np.ndarray
-    h_bases: Optional[np.ndarray]
+    local_norms: np.ndarray
+    dual_steps: np.ndarray
     h_defined: np.ndarray
     phis: np.ndarray
     ghs: np.ndarray
@@ -303,23 +305,15 @@ class RunResult:
     def dim(self) -> int:
         return self.xs.shape[1]
 
-    @property
-    def hs(self) -> np.ndarray:
-        """H_t per round as a dense (T, d, d) array, all-NaN rows while deferred."""
-        basis = np.eye(self.dim) if self.h_bases is None else self.h_bases
-        return np.einsum("...ij,...j,...kj->...ik", basis, self.h_spectra, basis)
+    def distance_terms(self, refs: np.ndarray) -> np.ndarray:
+        """|x_t - x|^2 - |x_{t+1} - x|^2 in the H_t^{-1} norm, per round.
 
-    def sq_norms(self, v: np.ndarray, inverse: bool = False) -> np.ndarray:
-        """v_t' H_t v_t (or v_t' H_t^{-1} v_t) per round for a (T, d) array; 0 while deferred."""
-        if self.h_bases is not None:
-            v = np.einsum("tij,ti->tj", self.h_bases, v)
-        spectra = 1.0 / self.h_spectra if inverse else self.h_spectra
-        return np.where(self.h_defined, np.einsum("ti,ti,ti->t", v, spectra, v), 0.0)
-
-    def distance_terms(self, ref: np.ndarray) -> np.ndarray:
-        """|x_t - ref|^2 - |x_{t+1} - ref|^2 in the H_t^{-1} norm, per round."""
-        before = self.sq_norms(self.xs[:-1] - ref, inverse=True)
-        return before - self.sq_norms(self.xs[1:] - ref, inverse=True)
+        One reference (d,) gives (T,); k references (k, d) give (T, k).
+        """
+        refs = np.asarray(refs, dtype=float)
+        v = self.dual_steps
+        along = np.einsum("ti,ti->t", v, self.xs[:-1] + self.xs[1:])
+        return (along - 2.0 * (refs @ v.T)).T
 
     def sum_sq_gradients(self) -> np.ndarray:
         """Cumulative sum over rounds of |g_t|^2."""
@@ -341,8 +335,8 @@ def run(config: AdaRegConfig, problem, horizon: int) -> RunResult:
     xs = np.empty((horizon + 1, d))
     gradients = np.empty((horizon, d))
     losses = np.empty(horizon)
-    h_spectra = np.full((horizon, d), np.nan)
-    h_bases = np.zeros((horizon, d, d)) if config.domain is RegularizerDomain.FULL else None
+    local_norms = np.zeros(horizon)
+    dual_steps = np.zeros((horizon, d))
     h_defined = np.zeros(horizon, dtype=bool)
     phis = np.zeros(horizon)
     ghs = np.zeros(horizon)
@@ -363,9 +357,8 @@ def run(config: AdaRegConfig, problem, horizon: int) -> RunResult:
             continue
         projection_active += kernel.projected
         h_defined[i] = True
-        h_spectra[i] = solution.h_spectrum
-        if h_bases is not None:
-            h_bases[i] = solution.basis
+        local_norms[i] = kernel.local_norm
+        dual_steps[i] = kernel.dual_step
         phis[i] = solution.phi_h
         ghs[i] = solution.g_dot_h
         g_spectra[i] = solution.g_spectrum
@@ -374,8 +367,8 @@ def run(config: AdaRegConfig, problem, horizon: int) -> RunResult:
         xs=xs,
         gradients=gradients,
         losses=losses,
-        h_spectra=h_spectra,
-        h_bases=h_bases,
+        local_norms=local_norms,
+        dual_steps=dual_steps,
         h_defined=h_defined,
         phis=phis,
         ghs=ghs,

@@ -110,14 +110,15 @@ def eig_sym(a) -> SpectralDecomposition:
 
 
 def clamp_spectrum(lam: np.ndarray) -> np.ndarray:
-    """Zero out eigenvalues in the negative round-off band.
+    """Zero out eigenvalues in the negative round-off band, in a copy.
 
     Values in ``(-1e-12 * scale, 0)`` with ``scale = max(1, |lam|_max)`` are
     treated as exact zeros.  More negative values are kept as-is so genuine
-    indefiniteness still surfaces downstream.
+    indefiniteness still surfaces downstream.  A stack of spectra is clamped
+    along its last axis, each with its own scale.
     """
-    scale = max(1.0, float(np.abs(lam).max()) if lam.size else 1.0)
-    out = lam.copy()
+    scale = np.abs(lam).max(axis=-1, keepdims=True, initial=1.0)
+    out = np.array(lam, dtype=float)
     out[(out > -EIG_CLAMP_RTOL * scale) & (out < 0.0)] = 0.0
     return out
 

@@ -183,7 +183,7 @@ def mirror_descent_lemma_check(run_result, x_ref, tol: float = 1e-8):
     """
     x_ref = np.asarray(x_ref, dtype=float)
     lhs = np.einsum("ti,ti->t", run_result.gradients, run_result.xs[:-1] - x_ref)
-    rhs = 0.5 * run_result.sq_norms(run_result.gradients) + 0.5 * run_result.distance_terms(x_ref)
+    rhs = 0.5 * run_result.local_norms + 0.5 * run_result.distance_terms(x_ref)
     worst = float(np.min((rhs - lhs) / (1.0 + np.abs(rhs))))
     rhs_total = float(np.sum(rhs))
     cumulative = (rhs_total - float(np.sum(lhs))) / (1.0 + abs(rhs_total))
@@ -463,9 +463,7 @@ def theorem1_check(
     k = refs.shape[0]
     ref_losses = problem.losses(1, horizon + 1, refs)
     lhs_running = np.cumsum(run_result.losses[:, None] - ref_losses, axis=0)
-    delta_running = np.cumsum(
-        np.column_stack([run_result.distance_terms(r) for r in refs]), axis=0
-    )
+    delta_running = np.cumsum(run_result.distance_terms(refs), axis=0)
     potential_term = run_result.ghs + run_result.phis - run_result.phi_h0
     rhs = 0.5 * potential_term[:, None] + 0.5 * delta_running
     worst = float(np.min((rhs - lhs_running) / (1.0 + np.abs(rhs))))

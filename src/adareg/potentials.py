@@ -178,8 +178,7 @@ class RegularizerSolution:
     replicated for the isotropic slice.
 
     ``h`` and ``h_inv`` build validated dense matrices when accessed; the
-    engine's rounds use ``apply`` and ``metric`` instead, and a run records
-    ``h_spectrum`` and ``basis`` as they are.
+    engine's rounds use ``apply`` (H v, or H^{-1} v) and ``metric`` instead.
     """
 
     __slots__ = ("h_spectrum", "h_inv_spectrum", "basis", "phi_h", "g_dot_h", "g_spectrum")
@@ -198,12 +197,13 @@ class RegularizerSolution:
         self.g_dot_h = g_dot_h
         self.g_spectrum = g_spectrum
 
-    def apply(self, g: np.ndarray) -> np.ndarray:
-        """H g."""
+    def apply(self, v: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """H v, or H^{-1} v."""
+        spectrum = self.h_inv_spectrum if inverse else self.h_spectrum
         if self.basis is None:
-            return self.h_spectrum * g
+            return spectrum * v
         u = self.basis
-        return u @ (self.h_spectrum * (u.T @ g))
+        return u @ (spectrum * (u.T @ v))
 
     @property
     def metric(self):

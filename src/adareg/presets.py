@@ -42,7 +42,7 @@ import numpy as np
 
 from .engine import AdaRegConfig
 from .errors import ConfigError, DomainError, ValidationError
-from .linalg import EIG_CLAMP_RTOL, SymmetricMatrix
+from .linalg import SymmetricMatrix, clamp_spectrum
 from .potentials import AdaGradPotential, OnsPotential, PNormPotential, RegularizerDomain
 from .sets import FeasibleSet
 
@@ -214,14 +214,10 @@ def sc_ogd(fset, alpha, gamma, x1=None) -> Preset:
 
 
 def _psd_rows(spectra) -> np.ndarray:
-    """A copy of the spectra, each row's round-off band clamped as in ``clamp_spectrum``."""
-    lam = np.array(spectra, dtype=float, ndmin=2)
-    low = lam.min(axis=1, keepdims=True)
-    if (low < 0.0).any():
-        scale = np.maximum(1.0, np.maximum(lam.max(axis=1, keepdims=True), -low))
-        lam[(lam > -EIG_CLAMP_RTOL * scale) & (lam < 0.0)] = 0.0
-        if (lam < 0.0).any():
-            raise DomainError("accumulator spectrum must be nonnegative")
+    """A copy of the spectra as rows, each row's round-off band clamped."""
+    lam = clamp_spectrum(np.atleast_2d(np.asarray(spectra, dtype=float)))
+    if (lam < 0.0).any():
+        raise DomainError("accumulator spectrum must be nonnegative")
     return lam
 
 

@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .linalg import SymmetricMatrix
-from .sets import Ball, Box, FeasibleSet, minimize_quadratic_over_set, project
+from .sets import Ball, Box, minimize_quadratic_over_set, project
 
 GRAD_NORM_SLACK = 1e-9
 _VALIDATION_ROUNDS = 32
@@ -560,7 +560,6 @@ class RegretRecord:
     comparator_losses: np.ndarray
     cum_regret: np.ndarray
     deltas: np.ndarray
-    bound_value: Optional[float] = None
 
     @property
     def final_regret(self) -> float:

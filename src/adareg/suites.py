@@ -108,7 +108,7 @@ def _argmin_cases():
     )
 
 
-def argmin_suite(trials: int = 50, seed: int = 0, tol: float = 1e-4) -> List[Failure]:
+def argmin_suite(trials: int = 20, seed: int = 0, tol: float = 1e-4) -> List[Failure]:
     """Closed-form regularizer choice versus the from-scratch numeric argmin."""
     failures = []
     rng = np.random.default_rng(seed)
@@ -238,12 +238,15 @@ def matrix_suite(trials: int = 500, seed: int = 0, tol: float = 1e-8) -> List[Fa
 
 
 def run_suite(name: str, trials: Optional[int] = None, seed: int = 0, **kwargs) -> List[Failure]:
+    """Run one suite, at its own default trial count unless ``trials`` is given."""
+    if trials is not None:
+        kwargs["trials"] = trials
     if name == "lemmas":
-        return lemma_suite(trials if trials is not None else 1000, seed)
+        return lemma_suite(seed=seed, **kwargs)
     if name == "argmin":
-        return argmin_suite(trials if trials is not None else 20, seed)
+        return argmin_suite(seed=seed, **kwargs)
     if name == "bounds":
-        return bounds_suite(trials if trials is not None else 3, seed, **kwargs)
+        return bounds_suite(seed=seed, **kwargs)
     if name == "matrix":
-        return matrix_suite(trials if trials is not None else 500, seed)
+        return matrix_suite(seed=seed, **kwargs)
     raise ValidationError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")

@@ -154,7 +154,8 @@ class TestRunBookkeeping:
         result, _ = self.make_run(horizon=30)
         assert result.xs.shape == (31, 4)
         assert result.losses.shape == (30,)
-        assert result.hs.shape == (30, 4, 4)
+        assert result.dual_steps.shape == (30, 4)
+        assert result.local_norms.shape == (30,)
 
     def test_horizon_one_is_a_single_step(self):
         result, problem = self.make_run(horizon=1)
@@ -175,8 +176,8 @@ class TestRunBookkeeping:
 
     def test_h_positive_definite_every_round(self):
         result, _ = self.make_run()
-        for t in range(result.horizon):
-            assert min_eigenvalue(SymmetricMatrix(result.hs[t])) > 0.0
+        for h in dense_h_history(result):
+            assert min_eigenvalue(SymmetricMatrix(h)) > 0.0
 
     @pytest.mark.parametrize("algo_id,kwargs", [
         ("adagrad-full", {"epsilon": 1e-3}),
@@ -190,8 +191,8 @@ class TestRunBookkeeping:
         preset = make_preset(algo_id, fset, **kwargs)
         result = run(preset.config, problem, 60)
         prev = None
-        for t in range(result.horizon):
-            h = SymmetricMatrix(result.hs[t])
+        for h in dense_h_history(result):
+            h = SymmetricMatrix(h)
             if prev is not None:
                 assert psd_geq(prev, h, tol=1e-8)
             prev = h
@@ -301,6 +302,23 @@ class LateStartProblem(OnlineProblem):
         return float(g @ x), g
 
 
+def dense_h_history(result):
+    """H_t per round of a run as a dense (T, d, d) array, all-NaN rows while deferred.
+
+    Rebuilt from a chain of ``step`` calls on the run's own gradients, which
+    replays the run exactly (``tests/test_kernel.py``), with each state's
+    ``h_mat``.
+    """
+    hs = np.full((result.horizon, result.dim, result.dim), np.nan)
+    state = init(result.config)
+    for i, g in enumerate(result.gradients):
+        state = step(state, g)
+        np.testing.assert_array_equal(state.x, result.xs[i + 1])
+        if state.h_mat is not None:
+            hs[i] = state.h_mat.mat
+    return hs
+
+
 def history_run(case, horizon=40, dim=4, seed=6):
     """(result, problem, reference point) of one run in each regularizer domain."""
     ball = Ball(np.zeros(dim), 1.0)
@@ -338,11 +356,12 @@ class TestRunHistory:
     def test_regret_deltas_match_dense_inverse(self, case):
         result, problem, x_ref = history_run(case)
         deltas = regret(result, problem, x_ref).deltas
+        hs = dense_h_history(result)
         for i in range(result.horizon):
             if not result.h_defined[i]:
                 assert deltas[i] == 0.0
                 continue
-            h_inv = np.linalg.inv(result.hs[i])
+            h_inv = np.linalg.inv(hs[i])
             before = result.xs[i] - x_ref
             after = result.xs[i + 1] - x_ref
             assert_close(deltas[i], before @ h_inv @ before - after @ h_inv @ after)
@@ -350,6 +369,7 @@ class TestRunHistory:
     @pytest.mark.parametrize("case", HISTORY_CASES)
     def test_mirror_lemma_matches_dense_loop(self, case):
         result, _, x_ref = history_run(case)
+        hs = dense_h_history(result)
         worst = np.inf
         lhs_total = rhs_total = 0.0
         for i in range(result.horizon):
@@ -357,7 +377,7 @@ class TestRunHistory:
             lhs = g @ (result.xs[i] - x_ref)
             rhs = 0.0
             if result.h_defined[i]:
-                h = result.hs[i]
+                h = hs[i]
                 h_inv = np.linalg.inv(h)
                 before = result.xs[i] - x_ref
                 after = result.xs[i + 1] - x_ref
@@ -373,10 +393,17 @@ class TestRunHistory:
     @pytest.mark.parametrize("case", HISTORY_CASES)
     def test_dense_history_shape_and_deferred_rows(self, case):
         result, _, _ = history_run(case)
-        hs = result.hs
+        hs = dense_h_history(result)
         assert hs.shape == (result.horizon, result.dim, result.dim)
         assert np.isnan(hs[~result.h_defined]).all()
         assert np.isfinite(hs[result.h_defined]).all()
+        assert (result.local_norms[~result.h_defined] == 0.0).all()
+        assert (result.dual_steps[~result.h_defined] == 0.0).all()
+        for i in np.flatnonzero(result.h_defined):
+            g = result.gradients[i]
+            assert_close(result.local_norms[i], g @ hs[i] @ g)
+            step_back = np.linalg.solve(hs[i], result.xs[i] - result.xs[i + 1])
+            assert_close(result.dual_steps[i], step_back)
         if case == "adaptive-ogd-late":
             assert not result.h_defined[:5].any() and result.h_defined[5:].all()
         else:
@@ -384,17 +411,13 @@ class TestRunHistory:
 
 
 class TestBoundedHistory:
-    """A run keeps O(T d) history outside the full domain and one basis per round in it."""
+    """A run keeps O(T d) history in every domain, the full one included."""
 
     @pytest.mark.parametrize("case", HISTORY_CASES)
-    def test_history_is_bounded_outside_the_full_domain(self, case):
+    def test_history_is_bounded_in_every_domain(self, case):
         result, _, _ = history_run(case, horizon=50, dim=6)
         arrays = {k: v for k, v in vars(result).items() if isinstance(v, np.ndarray)}
-        three_d = sorted(k for k, v in arrays.items() if v.ndim == 3)
         horizon, dim = result.horizon, result.dim
-        if case == "adagrad-full":
-            assert three_d == ["h_bases"]
-        else:
-            assert three_d == []
-            total = sum(v.nbytes for v in arrays.values())
-            assert total <= 8 * horizon * (6 * dim + 4) + dim * dim
+        assert all(v.ndim <= 2 for v in arrays.values())
+        total = sum(v.nbytes for v in arrays.values())
+        assert total <= 8 * horizon * (6 * dim + 4) + dim * dim

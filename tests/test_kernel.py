@@ -59,34 +59,40 @@ class PullProblem(OnlineProblem):
 
 
 def step_chain(config, problem, horizon):
-    """The records of ``run`` rebuilt from ``horizon`` single ``step`` calls."""
+    """The records of ``run`` rebuilt from ``horizon`` single ``step`` calls.
+
+    The local norm |g|^2_H and the dual step H^{-1} (x_t - x_{t+1}) (g itself
+    when the projection left x_t - H g alone) come from each step's solution.
+    """
     d = config.dim
     state = init(config)
     xs = [state.x]
-    h_spectra = np.full((horizon, d), np.nan)
-    h_bases = np.zeros((horizon, d, d)) if config.domain is RegularizerDomain.FULL else None
+    local_norms = np.zeros(horizon)
+    dual_steps = np.zeros((horizon, d))
     h_defined = np.zeros(horizon, dtype=bool)
     phis = np.zeros(horizon)
     ghs = np.zeros(horizon)
     g_spectra = np.zeros((horizon, d))
     for i in range(horizon):
         _, g = problem.loss_and_gradient(i + 1, state.x)
+        x = state.x
         state = step(state, g)
         xs.append(state.x)
         solution = state.solution
         if solution is None:
             continue
         h_defined[i] = True
-        h_spectra[i] = solution.h_spectrum
-        if h_bases is not None:
-            h_bases[i] = solution.basis
+        hg = solution.apply(g)
+        local_norms[i] = g.dot(hg)
+        projected = not np.array_equal(state.x, x - hg)
+        dual_steps[i] = solution.apply(x - state.x, inverse=True) if projected else g
         phis[i] = solution.phi_h
         ghs[i] = solution.g_dot_h
         g_spectra[i] = solution.g_spectrum
     return {
         "xs": np.array(xs),
-        "h_spectra": h_spectra,
-        "h_bases": h_bases,
+        "local_norms": local_norms,
+        "dual_steps": dual_steps,
         "h_defined": h_defined,
         "phis": phis,
         "ghs": ghs,
@@ -98,12 +104,8 @@ def step_chain(config, problem, horizon):
 def assert_run_equals_chain(config, problem, horizon):
     result = run(config, problem, horizon)
     chain = step_chain(config, problem, horizon)
-    for name in ("xs", "h_spectra", "h_defined", "phis", "ghs", "g_spectra"):
+    for name in ("xs", "local_norms", "dual_steps", "h_defined", "phis", "ghs", "g_spectra"):
         np.testing.assert_array_equal(getattr(result, name), chain[name], err_msg=name)
-    if chain["h_bases"] is None:
-        assert result.h_bases is None
-    else:
-        np.testing.assert_array_equal(result.h_bases, chain["h_bases"])
     np.testing.assert_array_equal(result.final_state.g_mat.mat, chain["g_mat"])
     return result
 

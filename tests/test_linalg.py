@@ -115,6 +115,13 @@ def test_clamp_spectrum_band():
     assert out[2] == -1e-6  # outside the band, kept
 
 
+def test_clamp_spectrum_rows_use_their_own_scale():
+    lam = np.array([[-5e-12, 10.0], [-5e-12, 1.0]])
+    out = clamp_spectrum(lam)
+    np.testing.assert_array_equal(out, [[0.0, 10.0], [-5e-12, 1.0]])
+    assert lam[0, 0] == -5e-12  # the input is left as it was
+
+
 class TestInnerProductsAndNorms:
     def test_identity_inner_is_trace(self, rng):
         a = random_pd(rng, 4)
