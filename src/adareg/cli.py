@@ -36,6 +36,9 @@ from .oracles import bound_prefix_series, regret_bound
 from .problems import PROBLEM_FAMILIES, best_fixed_comparator, make_problem, regret
 from .sets import Ball, Box, Unconstrained
 
+# Phases of ``run`` timed in the summary's ``metrics.phase_s``, in order.
+_RUN_PHASES = ("setup", "run", "comparator", "regret", "bounds", "csv")
+
 # Run flags that override a preset parameter or a problem constant.
 _PRESET_FLAGS = ("epsilon", "eta", "beta", "p", "alpha", "gamma")
 
@@ -153,7 +156,8 @@ def cmd_run(args, parser) -> int:
         if args.problem == "adv-linear":
             parser.error("adv-linear requires a bounded feasible set: a linear loss has "
                          "no best fixed point over --set none")
-    started = time.perf_counter()
+    # one perf_counter read at the end of each phase in _RUN_PHASES
+    marks = [time.perf_counter()]
     fset = _build_set(args)
     overrides = {flag: getattr(args, flag) for flag in _PRESET_FLAGS}
     problem_kwargs = {}
@@ -162,11 +166,16 @@ def cmd_run(args, parser) -> int:
         problem_kwargs["gamma"] = overrides.pop("gamma")
     problem = make_problem(args.problem, args.dim, args.seed, fset, **problem_kwargs)
     preset = presets.build_preset(args.algo, fset, problem, horizon=args.horizon, **overrides)
+    marks.append(time.perf_counter())
     result = engine_run(preset.config, problem, args.horizon)
+    marks.append(time.perf_counter())
     x_star, flat = best_fixed_comparator(problem, args.horizon)
+    marks.append(time.perf_counter())
     record = regret(result, problem, x_star)
+    marks.append(time.perf_counter())
     cert = regret_bound(preset.algo_id, preset.bound_params, result, record.final_regret)
     prefix_bounds = bound_prefix_series(preset.algo_id, preset.bound_params, result)
+    marks.append(time.perf_counter())
 
     lines = ["t,loss,cum_loss,cum_regret,delta_t,bound_prefix"]
     cum_loss = np.cumsum(result.losses)
@@ -184,8 +193,9 @@ def cmd_run(args, parser) -> int:
             )
         )
     _atomic_write(args.out, "\n".join(lines) + "\n")
+    marks.append(time.perf_counter())
 
-    wall = time.perf_counter() - started
+    wall = marks[-1] - marks[0]
     payload = {
         "algo": preset.algo_id,
         "problem": args.problem,
@@ -201,6 +211,9 @@ def cmd_run(args, parser) -> int:
     }
     summary_lines = [f"{key}: {_plain(value)}" for key, value in payload.items()]
     payload["metrics"] = _run_metrics(result)
+    payload["metrics"]["phase_s"] = {
+        phase: round(end - begin, 6) for phase, begin, end in zip(_RUN_PHASES, marks, marks[1:])
+    }
     summary_lines.append("json: " + json.dumps(payload, sort_keys=True))
     summary = "\n".join(summary_lines) + "\n"
     sys.stdout.write(summary)
@@ -210,22 +223,29 @@ def cmd_run(args, parser) -> int:
 
 
 def _run_metrics(result) -> dict:
-    """Counts from the run's rounds and the spectrum of G_T, for the JSON summary.
+    """Counts from the run's rounds and the spectra of G_t, for the JSON summary.
 
     ``g_min_eig`` and ``g_cond`` read the last defined row of ``g_spectra``
-    (G_T as the domain sees it); both are null when every round deferred.
+    (G_T as the domain sees it), and ``g_cond_max`` is the largest
+    condition number over all defined rows; all three are null when every
+    round deferred.  G_t only grows in PSD order, so its smallest
+    eigenvalue only grows too: the final ``g_min_eig`` is already the
+    largest over the run, and no worst-over-run key is needed for it.
     """
     metrics = {
         "projection_active": result.projection_active,
         "deferred_rounds": result.deferred_rounds,
         "g_min_eig": None,
         "g_cond": None,
+        "g_cond_max": None,
     }
-    defined = np.flatnonzero(result.h_defined)
-    if defined.size:
-        spectrum = result.g_spectra[defined[-1]]
-        metrics["g_min_eig"] = float(spectrum.min())
-        metrics["g_cond"] = float(spectrum.max() / spectrum.min())
+    # row extremes first, so only O(T) floats are copied
+    lo = result.g_spectra.min(axis=1)[result.h_defined]
+    if lo.size:
+        cond = result.g_spectra.max(axis=1)[result.h_defined] / lo
+        metrics["g_min_eig"] = float(lo[-1])
+        metrics["g_cond"] = float(cond[-1])
+        metrics["g_cond_max"] = float(cond.max())
     return metrics
 
 

@@ -11,7 +11,7 @@ The state keeps ``G_t`` only as far as its domain reads it (see
 :class:`adareg.potentials.Accumulator`).  The diagonal domain keeps a
 d-vector and the isotropic domain a scalar trace: their rounds step with
 ``h * g`` or ``s * g`` and project by a clip, a radial scaling or a
-bisection on the diagonal metric, and never form a d x d matrix.  The
+Newton solve on the diagonal metric, and never form a d x d matrix.  The
 full domain keeps the dense ``G_t`` and does one eigendecomposition per
 round; ``H_t``, ``H_t^{-1}`` and the ball or box projection all reuse
 its eigenvectors.  Dense ``SymmetricMatrix`` views of ``G_t`` and

@@ -6,7 +6,7 @@ shapes are supported:
 
 * :class:`Unconstrained` (projection is the identity),
 * :class:`Ball` (Euclidean ball; general weighted projection reduces to a
-  one-dimensional root-find in the eigenbasis of H),
+  Newton solve for one multiplier in the eigenbasis of H),
 * :class:`Box` (axis-aligned; coordinatewise clip when H is diagonal, a
   projected-Newton solve otherwise).
 
@@ -28,6 +28,7 @@ from .errors import ConvergenceError, DomainError, ValidationError
 from .linalg import SpectralDecomposition, SymmetricMatrix, eig_sym
 
 _INSIDE_RTOL = 1e-12
+_BALL_MAX_STEPS = 50
 
 
 class FeasibleSet:
@@ -263,32 +264,28 @@ def _project_ball(x: np.ndarray, ball: Ball, lam: np.ndarray, u: Optional[np.nda
         return ball.center + (ball.radius / float(np.linalg.norm(v))) * v
     # Work in the eigenbasis: the KKT conditions for
     #   min 1/2 (y - x)^T H (y - x)  s.t.  |y - c|^2 <= r^2
-    # give y - c = (H + mu I)^{-1} H (x - c) for a multiplier mu >= 0 chosen
-    # so the constraint is active.  The constraint value is strictly
-    # decreasing in mu, so a bracketing bisection is safe.
+    # give y - c = z(mu) = (H + mu I)^{-1} H (x - c) for the multiplier mu >= 0 that
+    # makes the constraint active.  phi(mu) = 1/|z(mu)| - 1/r is concave and increasing, so
+    # Newton from mu = 0 climbs to its root (the secular equation; More & Sorensen 1983).
     w = v if u is None else u.T @ v
-
-    def constraint(mu: float) -> float:
-        z = lam * w / (lam + mu)
-        return float(z @ z) - ball.radius**2
-
-    lo, hi = 0.0, max(lam_max, 1.0)
-    for _ in range(200):
-        if constraint(hi) < 0.0:
+    r = ball.radius
+    q = (lam * w) ** 2
+    mu = 0.0
+    for _ in range(_BALL_MAX_STEPS):
+        shifted = lam + mu
+        s = q / (shifted * shifted)
+        n2 = float(s.sum())
+        n = math.sqrt(n2)
+        if n - r <= 4e-16 * r:
             break
-        hi *= 2.0
+        # -phi / phi' with phi' = sum(s / shifted) / n^3
+        step = (n - r) * n2 / (r * float((s / shifted).sum()))
+        if step <= 1e-15 * mu:
+            break
+        mu += step
     else:
-        raise ConvergenceError("ball projection could not bracket the multiplier")
-    for _ in range(200):
-        if hi - lo <= 1e-12 * max(1.0, hi):
-            break
-        mid = 0.5 * (lo + hi)
-        if constraint(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    mu = 0.5 * (lo + hi)
-    z = lam * w / (lam + mu)
+        raise ConvergenceError(f"ball projection did not converge in {_BALL_MAX_STEPS} Newton steps")
+    z = lam * w / shifted
     return ball.center + (z if u is None else u @ z)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from adareg.errors import ConvergenceError, DomainError, ValidationError
-from adareg.linalg import SymmetricMatrix
+from adareg.linalg import SpectralDecomposition, SymmetricMatrix
 from adareg.sets import Ball, Box, Unconstrained, minimize_quadratic_over_set, project
 from conftest import random_pd
 
@@ -121,6 +121,50 @@ class TestProjectProperties:
             for _ in range(100):
                 y = fset.sample(rng)
                 assert (x - pix) @ h.mat @ (y - pix) <= 1e-8
+
+
+def ball_stress_instance(rng, d, form, ratio):
+    """A metric with spectrum in e^-6..e^3, one zero eigen-coordinate, and x at ratio * r from c."""
+    lam = np.exp(rng.uniform(-6.0, 3.0, size=d))
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    w = rng.standard_normal(d)
+    w[rng.integers(d)] = 0.0
+    w /= np.linalg.norm(w)
+    center = 0.5 * rng.standard_normal(d)
+    radius = float(np.exp(rng.uniform(-2.0, 2.0)))
+    if form == "diagonal":
+        metric, dense, offset = lam, np.diag(lam), w
+    else:
+        metric = SpectralDecomposition(eigenvalues=lam, eigenvectors=u)
+        dense, offset = metric.dense(), u @ w
+    return Ball(center, radius), metric, dense, center + ratio * radius * offset
+
+
+class TestBallSolver:
+    """The ball multiplier solve on hard spectra, against its radius and an independent solver."""
+
+    RATIOS = (1.0 + 1e-10, 1.0 + 1e-6, 1.5, 30.0, 1e3)
+
+    @pytest.mark.parametrize("form", ["spectral", "diagonal"])
+    @pytest.mark.parametrize("d", [2, 5, 50])
+    def test_lands_on_the_sphere_at_the_minimizer(self, d, form):
+        rng = np.random.default_rng(1000 + d + (form == "diagonal"))
+        ratios = self.RATIOS + tuple(1.0 + 10.0 ** rng.uniform(-10.0, 3.0, size=5))
+        for ratio in ratios:
+            ball, metric, dense, x = ball_stress_instance(rng, d, form, ratio)
+            y = project(x, ball, metric)
+            assert abs(np.linalg.norm(y - ball.center) - ball.radius) <= 4e-15 * ball.radius
+            # min 1/2 y'Hy - (Hx)'y over the ball is the H-projection of x
+            b = -dense @ x
+            ref = minimize_quadratic_over_set(dense, b, ball)
+            f_y = 0.5 * y @ dense @ y + b @ y
+            f_ref = 0.5 * ref @ dense @ ref + b @ ref
+            assert abs(f_y - f_ref) <= 1e-10 * max(1.0, abs(f_ref))
+
+    def test_non_finite_point_stops_at_the_step_cap(self):
+        x = np.array([np.nan, 0.0, 2.0])
+        with pytest.raises(ConvergenceError, match="ball projection"):
+            project(x, Ball(np.zeros(3), 1.0), np.array([1.0, 2.0, 3.0]))
 
 
 class TestQuadraticMinimizer:
