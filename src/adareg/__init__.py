@@ -19,21 +19,16 @@ from .errors import (
 from .linalg import (
     SpectralDecomposition,
     SymmetricMatrix,
-    apply_scalar_fn,
     eig_sym,
-    frobenius_inner,
-    mahalanobis_norm,
     matrix_power_psd,
     psd_geq,
     rank_one_update,
-    trace_power,
 )
 from .potentials import (
     AdaGradPotential,
     OnsPotential,
     PNormPotential,
     RegularizerDomain,
-    potential_value,
     solve_regularizer,
 )
 from .presets import (

@@ -34,17 +34,17 @@ from .engine import run as engine_run
 from .errors import AdaRegError, ValidationError
 from .oracles import bound_prefix_series, regret_bound
 from .problems import PROBLEM_FAMILIES, best_fixed_comparator, make_problem, regret
-from .sets import Ball, Box, Unconstrained
+from .sets import Ball, Box
 
 # Phases of ``run`` timed in the summary's ``metrics.phase_s``, in order.
 _RUN_PHASES = ("setup", "run", "comparator", "regret", "bounds", "csv")
 
 # Run flags that override a preset parameter or a problem constant.
-_PRESET_FLAGS = ("epsilon", "eta", "beta", "p", "alpha", "gamma")
+_PRESET_FLAGS = sorted(set().union(*(spec.flags for spec in presets.ALGORITHMS.values())))
 
 _RUN_KEYS = {
     "algo", "problem", "dim", "horizon", "seed", "set", "radius", "lower", "upper",
-    "diameter", "out", "summary_out", *_PRESET_FLAGS,
+    "out", "summary_out", *_PRESET_FLAGS,
 }
 
 
@@ -76,11 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--dim", type=int, default=10)
     p_run.add_argument("--horizon", type=int)
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--set", choices=("ball", "box", "none"), default="ball")
+    p_run.add_argument("--set", choices=("ball", "box"), default="ball")
     p_run.add_argument("--radius", type=float, default=1.0)
     p_run.add_argument("--lower", type=float, default=-0.5)
     p_run.add_argument("--upper", type=float, default=0.5)
-    p_run.add_argument("--diameter", type=float, help="declared diameter for --set none")
     p_run.add_argument("--out", help="per-round CSV output path")
     p_run.add_argument("--summary-out", dest="summary_out", help="also write the summary here")
     for flag in _PRESET_FLAGS:
@@ -136,12 +135,9 @@ def _build_set(args):
     d = args.dim
     if d < 1:
         raise ValidationError(f"dimension must be positive, got {d}")
-    kind = getattr(args, "set")
-    if kind == "ball":
+    if getattr(args, "set") == "ball":
         return Ball(center=np.zeros(d), radius=args.radius)
-    if kind == "box":
-        return Box(lower=np.full(d, args.lower), upper=np.full(d, args.upper))
-    return Unconstrained(dim=d, declared_euclidean_diameter=args.diameter)
+    return Box(lower=np.full(d, args.lower), upper=np.full(d, args.upper))
 
 
 def cmd_run(args, parser) -> int:
@@ -150,12 +146,6 @@ def cmd_run(args, parser) -> int:
             parser.error(f"run requires --{flag}")
     if args.horizon < 1:
         parser.error(f"--horizon must be at least 1, got {args.horizon}")
-    if getattr(args, "set") == "none":
-        if args.diameter is None:
-            parser.error("--set none requires --diameter (declared scale for the guarantees)")
-        if args.problem == "adv-linear":
-            parser.error("adv-linear requires a bounded feasible set: a linear loss has "
-                         "no best fixed point over --set none")
     # one perf_counter read at the end of each phase in _RUN_PHASES
     marks = [time.perf_counter()]
     fset = _build_set(args)

@@ -34,7 +34,7 @@ Each round still calls :func:`adareg.potentials.solve_regularizer` and
 :func:`adareg.sets.project` through this module's names.  After a round
 the kernel exposes the solve, whether the projection moved the point, the
 new iterate and the round's two regret-decomposition terms; a run counts
-projection activations and deferred rounds from that.
+projection activations and flags deferred rounds from that.
 
 A run records iterates, gradients, losses, ``Phi(H_t)``, ``<G_t, H_t>``
 and, in place of ``H_t``, the two terms the analysis reads from it: the
@@ -78,9 +78,8 @@ from .sets import FeasibleSet, Unconstrained, minimize_quadratic_over_set, proje
 class AdaRegConfig:
     """Immutable description of one algorithm instance.
 
-    ``g0`` seeds the gradient accumulator; when ``epsilon`` is positive it
-    must be ``epsilon * I`` (or ``epsilon / d * I`` for the isotropic
-    strongly-convex preset).  ``x1`` must lie in the feasible set.
+    ``g0`` seeds the gradient accumulator and must be positive
+    semidefinite.  ``x1`` must lie in the feasible set.
     """
 
     potential: SpectralPotential
@@ -88,7 +87,6 @@ class AdaRegConfig:
     feasible_set: FeasibleSet
     x1: np.ndarray
     g0: SymmetricMatrix
-    epsilon: float = 0.0
 
     def __post_init__(self):
         x1 = np.asarray(self.x1, dtype=float)
@@ -104,17 +102,6 @@ class AdaRegConfig:
             raise ConfigError(f"g0 has dimension {self.g0.dim}, expected {d}")
         if min_eigenvalue(self.g0) < -1e-10:
             raise ConfigError("g0 must be positive semidefinite")
-        if not (self.epsilon >= 0.0 and math.isfinite(self.epsilon)):
-            raise ConfigError(f"epsilon must be nonnegative and finite, got {self.epsilon}")
-        if self.epsilon > 0.0:
-            for scale in (self.epsilon, self.epsilon / d):
-                if np.allclose(self.g0.mat, scale * np.eye(d), rtol=0.0, atol=1e-12 * (1 + scale)):
-                    break
-            else:
-                raise ConfigError(
-                    "with epsilon > 0, g0 must be epsilon * I (or epsilon / d * I "
-                    "for the isotropic strongly-convex preset)"
-                )
 
     @property
     def dim(self) -> int:
@@ -279,7 +266,8 @@ class RunResult:
     domain (eigenvalues, diagonal entries, or the mean eigenvalue
     replicated).  ``projection_active`` counts the rounds whose
     projection moved the point and ``deferred_rounds`` the rounds played
-    while the regularizer was undefined; both are plain ints.
+    while the regularizer was undefined (the unset ``h_defined`` flags);
+    both are plain ints.
     """
 
     config: AdaRegConfig
@@ -295,7 +283,10 @@ class RunResult:
     phi_h0: float
     final_state: AdaRegState = field(repr=False)
     projection_active: int = 0
-    deferred_rounds: int = 0
+
+    @property
+    def deferred_rounds(self) -> int:
+        return int((~self.h_defined).sum())
 
     @property
     def horizon(self) -> int:
@@ -342,7 +333,6 @@ def run(config: AdaRegConfig, problem, horizon: int) -> RunResult:
     ghs = np.zeros(horizon)
     g_spectra = np.zeros((horizon, d))
     projection_active = 0
-    deferred_rounds = 0
     xs[0] = kernel.x
     for t in range(1, horizon + 1):
         loss, g = problem.loss_and_gradient(t, kernel.x)
@@ -353,7 +343,6 @@ def run(config: AdaRegConfig, problem, horizon: int) -> RunResult:
         xs[t] = kernel.x
         solution = kernel.solution
         if solution is None:
-            deferred_rounds += 1
             continue
         projection_active += kernel.projected
         h_defined[i] = True
@@ -376,5 +365,4 @@ def run(config: AdaRegConfig, problem, horizon: int) -> RunResult:
         phi_h0=phi_h0,
         final_state=kernel.state(),
         projection_active=projection_active,
-        deferred_rounds=deferred_rounds,
     )

@@ -3,8 +3,8 @@
 Everything here is built on eigendecompositions of small dense matrices
 (dimensions up to a few hundred).  The central type is
 :class:`SymmetricMatrix`, a validated, immutable wrapper around a square
-``numpy`` array.  Scalar functions are lifted to matrices through the
-spectral calculus: ``f(A) = sum_i f(lam_i) u_i u_i^T``.
+``numpy`` array.  Matrix powers go through the spectral calculus:
+``A^q = sum_i lam_i^q u_i u_i^T``.
 
 Conventions:
 
@@ -13,15 +13,13 @@ Conventions:
   asymmetry is at round-off level, so downstream code never sees an
   asymmetric array;
 * eigenvalues in a small negative band around zero are clamped to zero
-  before a scalar function is applied, so positive-semidefinite matrices
-  that picked up negative round-off stay inside the domain of functions
-  like the square root.
+  before a power is taken, so positive-semidefinite matrices that picked
+  up negative round-off stay inside the domain of fractional powers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -91,9 +89,6 @@ class SpectralDecomposition:
         a = u @ (self.eigenvalues[:, None] * u.T)
         return (a + a.T) / 2.0
 
-    def reconstruct(self) -> SymmetricMatrix:
-        return SymmetricMatrix(self.dense())
-
 
 def eig_sym(a) -> SpectralDecomposition:
     """Full eigendecomposition of a symmetric matrix, eigenvalues descending.
@@ -121,45 +116,6 @@ def clamp_spectrum(lam: np.ndarray) -> np.ndarray:
     out = np.array(lam, dtype=float)
     out[(out > -EIG_CLAMP_RTOL * scale) & (out < 0.0)] = 0.0
     return out
-
-
-def apply_scalar_fn(a: SymmetricMatrix, fn: Callable[[float], float]) -> SymmetricMatrix:
-    """Lift a scalar function to the matrix via the spectral calculus.
-
-    Raises :class:`DomainError` naming the offending eigenvalue when ``fn``
-    raises or returns a non-finite value at some eigenvalue.
-    """
-    dec = eig_sym(a)
-    lam = clamp_spectrum(dec.eigenvalues)
-    vals = np.empty_like(lam)
-    for i, x in enumerate(lam):
-        try:
-            y = float(fn(float(x)))
-        except (ArithmeticError, ValueError) as exc:
-            raise DomainError(f"scalar function undefined at eigenvalue {x!r}: {exc}") from exc
-        if not np.isfinite(y):
-            raise DomainError(f"scalar function returned {y!r} at eigenvalue {x!r}")
-        vals[i] = y
-    u = dec.eigenvectors
-    return SymmetricMatrix(u @ (vals[:, None] * u.T))
-
-
-def frobenius_inner(a: SymmetricMatrix, b: SymmetricMatrix) -> float:
-    """Trace inner product tr(A^T B); for symmetric inputs this is tr(AB)."""
-    if a.dim != b.dim:
-        raise ValidationError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return float(np.sum(a.mat * b.mat))
-
-
-def mahalanobis_norm(x: np.ndarray, h: SymmetricMatrix) -> float:
-    """The weighted norm sqrt(x^T H x) for positive-semidefinite H."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (h.dim,):
-        raise ValidationError(f"vector shape {x.shape} does not match dimension {h.dim}")
-    q = float(x @ h.mat @ x)
-    if q < -1e-10:
-        raise DomainError(f"quadratic form is negative ({q:.3e}); matrix is indefinite")
-    return float(np.sqrt(max(q, 0.0)))
 
 
 def rank_one_update(g_mat: SymmetricMatrix, g: np.ndarray) -> SymmetricMatrix:
@@ -197,15 +153,3 @@ def matrix_power_psd(a: SymmetricMatrix, q: float) -> SymmetricMatrix:
     u = dec.eigenvectors
     return SymmetricMatrix(u @ (np.power(lam, q)[:, None] * u.T))
 
-
-def trace_power(a: SymmetricMatrix, q: float) -> float:
-    """tr(A^q) for positive-semidefinite A, without forming the power."""
-    if q <= 0:
-        raise DomainError(f"exponent must be positive, got {q}")
-    lam = clamp_spectrum(np.linalg.eigvalsh(a.mat))
-    if np.any(lam < 0):
-        raise DomainError(
-            f"trace power requires a positive-semidefinite input; "
-            f"smallest eigenvalue is {lam.min():.3e}"
-        )
-    return float(np.sum(np.power(lam, q)))

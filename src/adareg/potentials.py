@@ -153,16 +153,6 @@ class PNormPotential(SpectralPotential):
         return self.eta * y ** (-1.0 / (self.p + 1))
 
 
-def potential_value(potential: SpectralPotential, h: SymmetricMatrix) -> float:
-    """Phi(H) = -sum_i phi(lam_i(H)); requires H positive definite."""
-    lam = clamp_spectrum(np.linalg.eigvalsh(h.mat))
-    if np.any(lam <= 0.0):
-        raise DomainError(
-            f"potential undefined: matrix has nonpositive eigenvalue {lam.min():.6e}"
-        )
-    return float(-np.sum(potential.phi(lam)))
-
-
 class RegularizerSolution:
     """Minimizer of <G, H> + Phi(H) plus quantities the engine reuses.
 

@@ -73,6 +73,8 @@ def _diameter(fset: FeasibleSet, b: Optional[float], norm: str, name: str) -> fl
 
 def _eta_scaled(algo_id, potential, domain, fset, x1, b, b_name, norm, epsilon, eta, **params):
     """A preset whose potential is ``potential(eta)``, eta defaulting to b / sqrt(2)."""
+    if not (epsilon >= 0.0 and math.isfinite(epsilon)):
+        raise ConfigError(f"epsilon must be nonnegative and finite, got {epsilon}")
     b = _diameter(fset, b, norm, b_name)
     if eta is None:
         eta = b / math.sqrt(2.0)
@@ -82,7 +84,6 @@ def _eta_scaled(algo_id, potential, domain, fset, x1, b, b_name, norm, epsilon, 
         feasible_set=fset,
         x1=_resolve_x1(fset, x1),
         g0=SymmetricMatrix.identity(fset.dim, epsilon),
-        epsilon=epsilon,
     )
     return Preset(algo_id, config, {b_name: b, "eta": eta, **params})
 
@@ -117,7 +118,6 @@ def adaptive_ogd(fset, x1=None, c=None, b=None) -> Preset:
         feasible_set=fset,
         x1=_resolve_x1(fset, x1),
         g0=SymmetricMatrix.zero(d),
-        epsilon=0.0,
     )
     return Preset("adaptive-ogd", config, {"b": b, "c": c})
 
@@ -166,7 +166,6 @@ def _ons_like(algo_id, domain, fset, beta, x1, b, gamma) -> Preset:
         feasible_set=fset,
         x1=_resolve_x1(fset, x1),
         g0=SymmetricMatrix.identity(d, epsilon),
-        epsilon=epsilon,
     )
     params = {"beta": beta, "b": b, "d": d}
     if gamma is not None:
@@ -203,7 +202,6 @@ def sc_ogd(fset, alpha, gamma, x1=None) -> Preset:
         feasible_set=fset,
         x1=_resolve_x1(fset, x1),
         g0=SymmetricMatrix.identity(d, epsilon / d),
-        epsilon=epsilon,
     )
     return Preset("sc-ogd", config, {"alpha": alpha, "gamma": gamma, "beta": beta, "d": d})
 
@@ -280,6 +278,11 @@ class AlgorithmSpec:
     constants: Tuple[Tuple[str, str, str], ...] = ()
     tune: Optional[Callable[..., dict]] = None  # builder keywords derived from the problem
 
+    @property
+    def flags(self) -> frozenset:
+        """The run flags the algorithm reads: its options and its constants."""
+        return frozenset(self.options).union(name for name, _, _ in self.constants)
+
 
 def _needs(algo_id, flag, what):
     return f"{algo_id} needs --{flag} (the problem declares no {what} constant)"
@@ -347,8 +350,7 @@ def build_preset(algo_id, fset, problem, horizon=None, **overrides) -> Preset:
     eta to an oblivious stream.  ``bound_params`` gains the problem's gamma.
     """
     spec = algorithm_spec(algo_id)
-    taken = set(spec.options).union(name for name, _, _ in spec.constants)
-    unused = sorted(k for k, v in overrides.items() if v is not None and k not in taken)
+    unused = sorted({k for k, v in overrides.items() if v is not None} - spec.flags)
     if unused:
         flags = ", ".join(f"--{k}" for k in unused)
         raise ValidationError(f"{algo_id} takes no {flags}")

@@ -285,9 +285,6 @@ class AdvLinearProblem(BlockedProblem):
             bits[i] = self.round_rng(t).integers(0, 2, size=self.dim)
         return ((self.gamma / np.sqrt(self.dim)) * (2.0 * bits - 1.0),)
 
-    def gradient_of_round(self, t):
-        return self.round_data(t)[0]
-
     @staticmethod
     def _evaluate(data, x):
         (g,) = data
@@ -556,7 +553,6 @@ class RegretRecord:
     """
 
     x_star: np.ndarray
-    losses: np.ndarray
     comparator_losses: np.ndarray
     cum_regret: np.ndarray
     deltas: np.ndarray
@@ -575,7 +571,6 @@ def regret(run_result, problem, x_star) -> RegretRecord:
     deltas = run_result.distance_terms(x_star)
     return RegretRecord(
         x_star=x_star,
-        losses=run_result.losses.copy(),
         comparator_losses=comparator_losses,
         cum_regret=cum_regret,
         deltas=deltas,

@@ -209,7 +209,7 @@ def test_07_pnorm_family_and_p1_minimality():
                 1e-8 * np.eye(10)
                 + sum(
                     np.outer(g, g)
-                    for g in (problem.gradient_of_round(t) for t in range(1, 2001))
+                    for g in (problem.round_data(t)[0] for t in range(1, 2001))
                 )
             )
             preset = pnorm(fset, p, eta=optimal_pnorm_eta(b, p, spectrum))

@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from adareg.cli import main
+from adareg.cli import _PRESET_FLAGS, build_parser, main
+from adareg.presets import ALGORITHMS
 
 HEADER = "t,loss,cum_loss,cum_regret,delta_t,bound_prefix"
 
@@ -38,12 +39,6 @@ class TestUsageErrors:
         assert run_cli(
             "run", "--algo", "adagrad-full", "--problem", "adv-linear",
             "--horizon", "0", "--out", str(tmp_path / "x.csv"),
-        ) == 2
-
-    def test_unconstrained_needs_diameter(self, tmp_path):
-        assert run_cli(
-            "run", "--algo", "adagrad-full", "--problem", "adv-linear",
-            "--horizon", "5", "--set", "none", "--out", str(tmp_path / "x.csv"),
         ) == 2
 
     def test_unknown_algorithm_choice(self, tmp_path):
@@ -207,6 +202,19 @@ class TestOverrides:
         if bound is not None:
             assert payload["bound"] == pytest.approx(bound, rel=1e-9)
 
+    @pytest.mark.parametrize("algo", ["adagrad-full", "adagrad-diag", "pnorm"])
+    def test_negative_epsilon_is_a_usage_error(self, tmp_path, monkeypatch, capsys, algo):
+        # -1e-12 passes the positive-semidefinite check on g0, which allows
+        # round-off; the preset must still reject it as input
+        monkeypatch.chdir(tmp_path)
+        code = run_cli(
+            "run", "--algo", algo, "--problem", "adv-linear", "--dim", "3",
+            "--horizon", "20", "--out", "r.csv", "--epsilon=-1e-12",
+        )
+        assert code == 2
+        assert "epsilon must be nonnegative and finite" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
     @pytest.mark.parametrize("algo,flag", [
         ("ons-full", "--beta"), ("ons-diag", "--beta"), ("sc-ogd", "--alpha"),
     ])
@@ -261,6 +269,12 @@ class TestUnusedFlags:
         }))
         code = run_cli("run", "--config", str(cfg), "--out", "r.csv")
         self.assert_usage_error(code, capsys, tmp_path, flag)
+
+    def test_preset_flags_are_the_registry_flags(self):
+        # the parser offers exactly the flags that some algorithm reads
+        assert set(_PRESET_FLAGS) == {"alpha", "beta", "epsilon", "eta", "gamma", "p"}
+        assert set(_PRESET_FLAGS) == set().union(*(s.flags for s in ALGORITHMS.values()))
+        assert build_parser().parse_args(["run", "--p", "3"]).p == 3.0
 
     def test_gamma_goes_to_the_problem_that_consumes_it(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -11,7 +11,7 @@ import itertools
 import pytest
 
 from adareg.cli import main
-from adareg.presets import PRESET_BUILDERS
+from adareg.presets import ALGORITHMS, PRESET_BUILDERS
 from adareg.problems import PROBLEM_FAMILIES
 
 SET_FLAGS = {
@@ -58,5 +58,25 @@ def test_linear_loss_over_an_unbounded_set_is_a_usage_error(algo, tmp_path, caps
         "--dim", "3", "--horizon", "60", "--out", str(out),
     ])
     assert code == 2
-    assert "bounded feasible set" in capsys.readouterr().err
+    assert "invalid choice: 'none'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+def test_unbounded_set_options_are_usage_errors(algo, tmp_path, capsys):
+    # --set none and --diameter are gone: whether given as flags or as a
+    # config key, they stop the run before any file is written
+    problem, set_kind = ALGORITHMS[algo].matched
+    config = tmp_path / "config.json"
+    config.write_text('{"diameter": 2}')
+    out = tmp_path / "run.csv"
+    base = ["run", "--algo", algo, "--problem", problem, "--dim", "3", "--horizon", "60",
+            "--out", str(out)]
+    for extra in (
+        ["--set", "none"],
+        ["--set", set_kind, "--diameter", "2"],
+        ["--set", set_kind, "--config", str(config)],
+    ):
+        assert run_main(base + extra) == 2, extra
+        assert "Traceback" not in capsys.readouterr().err, extra
+        assert not out.exists(), extra

@@ -75,7 +75,6 @@ def test_step_matches_dense_reference(seed, dim, domain, family, set_kind, round
         feasible_set=fset,
         x1=fset.center_point(),
         g0=SymmetricMatrix.identity(dim, epsilon),
-        epsilon=epsilon,
     )
     state = init(config)
     g_dense = config.g0.mat
@@ -99,7 +98,6 @@ def test_g_mat_is_the_accumulator_as_the_domain_sees_it(domain, rng):
         feasible_set=Unconstrained(dim=dim),
         x1=np.zeros(dim),
         g0=SymmetricMatrix.identity(dim, 0.5),
-        epsilon=0.5,
     )
     state = init(config)
     g_dense = config.g0.mat

@@ -24,7 +24,6 @@ def unconstrained_config(dim, potential, domain, epsilon):
         feasible_set=Unconstrained(dim=dim),
         x1=np.zeros(dim),
         g0=SymmetricMatrix.identity(dim, scale=epsilon) if epsilon else SymmetricMatrix.zero(dim),
-        epsilon=epsilon,
     )
 
 
@@ -51,7 +50,6 @@ class TestConfig:
                 feasible_set=Ball(np.zeros(2), 1.0),
                 x1=np.array([3.0, 0.0]),
                 g0=SymmetricMatrix.identity(2, scale=1e-8),
-                epsilon=1e-8,
             )
 
     def test_indefinite_g0_rejected(self):
@@ -62,17 +60,6 @@ class TestConfig:
                 feasible_set=Unconstrained(dim=2),
                 x1=np.zeros(2),
                 g0=SymmetricMatrix.from_diagonal([1.0, -1.0]),
-            )
-
-    def test_epsilon_must_match_g0(self):
-        with pytest.raises(ConfigError, match="epsilon"):
-            AdaRegConfig(
-                potential=AdaGradPotential(eta=1.0),
-                domain=RegularizerDomain.FULL,
-                feasible_set=Unconstrained(dim=2),
-                x1=np.zeros(2),
-                g0=SymmetricMatrix.identity(2, scale=0.5),
-                epsilon=0.25,
             )
 
 
@@ -132,7 +119,6 @@ class TestStep:
             feasible_set=fset,
             x1=np.zeros(3),
             g0=SymmetricMatrix.identity(3, scale=1e-4),
-            epsilon=1e-4,
         )
         state = init(cfg)
         for _ in range(25):
@@ -279,6 +265,21 @@ class TestPresets:
             preset = make_preset(algo_id, fset, **kwargs)
             assert preset.algo_id == algo_id
             assert preset.config.feasible_set is fset
+
+    @pytest.mark.parametrize("algo_id,kwargs,scale", [
+        ("adagrad-full", {"epsilon": 0.25}, 0.25),
+        ("adagrad-diag", {"epsilon": 0.25}, 0.25),
+        ("pnorm", {"epsilon": 0.25}, 0.25),
+        ("adaptive-ogd", {}, 0.0),
+        # d / (beta b)^2 with d = 3 and the ball's diameter b = 2
+        ("ons-full", {"beta": 0.5}, 3.0),
+        ("ons-diag", {"beta": 0.5}, 3.0),
+        # gamma^2 / d
+        ("sc-ogd", {"alpha": 1.0, "gamma": 3.0}, 3.0),
+    ])
+    def test_g0_is_a_multiple_of_the_identity(self, algo_id, kwargs, scale):
+        g0 = make_preset(algo_id, Ball(np.zeros(3), 1.0), **kwargs).config.g0
+        np.testing.assert_allclose(g0.mat, scale * np.eye(3), rtol=1e-12, atol=0.0)
 
     def test_default_eta_uses_the_diameter(self):
         preset = adagrad_full(Ball(np.zeros(2), 1.0))

@@ -1,6 +1,4 @@
-"""Symmetric-matrix primitives: spectral calculus, orderings, norms."""
-
-import math
+"""Symmetric-matrix primitives: eigendecompositions, orderings, powers."""
 
 import numpy as np
 import pytest
@@ -10,16 +8,11 @@ from hypothesis import strategies as st
 from adareg.errors import DomainError, ValidationError
 from adareg.linalg import (
     SymmetricMatrix,
-    apply_scalar_fn,
     clamp_spectrum,
     eig_sym,
-    frobenius_inner,
-    mahalanobis_norm,
     matrix_power_psd,
-    min_eigenvalue,
     psd_geq,
     rank_one_update,
-    trace_power,
 )
 from conftest import random_pd, random_psd
 
@@ -71,41 +64,7 @@ class TestEigSym:
     def test_reconstruction(self, rng):
         a = random_pd(rng, 5)
         dec = eig_sym(a)
-        np.testing.assert_allclose(dec.reconstruct().mat, a.mat, atol=1e-9)
-
-
-class TestApplyScalarFn:
-    def test_sqrt_of_diagonal(self):
-        a = SymmetricMatrix.from_diagonal([4.0, 9.0])
-        np.testing.assert_allclose(
-            apply_scalar_fn(a, math.sqrt).mat, np.diag([2.0, 3.0]), atol=1e-12
-        )
-
-    def test_identity_function(self, rng):
-        a = random_pd(rng, 4)
-        np.testing.assert_allclose(apply_scalar_fn(a, lambda x: x).mat, a.mat, atol=1e-10)
-
-    def test_sqrt_then_square_recovers(self, rng):
-        a = random_psd(rng, 5)
-        root = apply_scalar_fn(a, math.sqrt)
-        np.testing.assert_allclose((root.mat @ root.mat), a.mat, atol=1e-8)
-
-    def test_roundoff_negative_is_clamped(self):
-        # eigenvalues {1, -1e-15}: inside the clamp band, sqrt must not raise
-        u = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-        a = SymmetricMatrix(u @ np.diag([1.0, -1e-15]) @ u.T)
-        root = apply_scalar_fn(a, math.sqrt)
-        assert min_eigenvalue(root) >= 0.0
-
-    def test_genuinely_negative_eigenvalue_raises(self):
-        a = SymmetricMatrix.from_diagonal([1.0, -0.5])
-        with pytest.raises(DomainError, match="eigenvalue"):
-            apply_scalar_fn(a, math.sqrt)
-
-    def test_non_finite_output_raises(self):
-        a = SymmetricMatrix.from_diagonal([1.0, 0.0])
-        with pytest.raises(DomainError, match="eigenvalue"):
-            apply_scalar_fn(a, lambda x: 1.0 / x)
+        np.testing.assert_allclose(dec.dense(), a.mat, atol=1e-9)
 
 
 def test_clamp_spectrum_band():
@@ -120,45 +79,6 @@ def test_clamp_spectrum_rows_use_their_own_scale():
     out = clamp_spectrum(lam)
     np.testing.assert_array_equal(out, [[0.0, 10.0], [-5e-12, 1.0]])
     assert lam[0, 0] == -5e-12  # the input is left as it was
-
-
-class TestInnerProductsAndNorms:
-    def test_identity_inner_is_trace(self, rng):
-        a = random_pd(rng, 4)
-        assert frobenius_inner(SymmetricMatrix.identity(4), a) == pytest.approx(a.trace())
-
-    def test_diagonal_inner(self):
-        a = SymmetricMatrix.from_diagonal([1.0, 2.0])
-        b = SymmetricMatrix.from_diagonal([3.0, 4.0])
-        assert frobenius_inner(a, b) == pytest.approx(11.0)
-
-    def test_rank_one_inner_matches_mahalanobis(self, rng):
-        g = rng.standard_normal(4)
-        h = random_pd(rng, 4)
-        gg = SymmetricMatrix(np.outer(g, g))
-        assert frobenius_inner(gg, h) == pytest.approx(
-            mahalanobis_norm(g, h) ** 2, abs=1e-10
-        )
-
-    def test_mahalanobis_direct(self):
-        h = SymmetricMatrix.from_diagonal([4.0, 9.0])
-        assert mahalanobis_norm(np.array([1.0, 1.0]), h) == pytest.approx(math.sqrt(13.0))
-        assert mahalanobis_norm(np.zeros(2), h) == 0.0
-
-    def test_mahalanobis_identity_is_euclidean(self, rng):
-        x = rng.standard_normal(5)
-        assert mahalanobis_norm(x, SymmetricMatrix.identity(5)) == pytest.approx(
-            np.linalg.norm(x)
-        )
-
-    def test_mahalanobis_indefinite_raises(self):
-        h = SymmetricMatrix.from_diagonal([1.0, -1.0])
-        with pytest.raises(DomainError, match="indefinite"):
-            mahalanobis_norm(np.array([0.0, 1.0]), h)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError, match="mismatch"):
-            frobenius_inner(SymmetricMatrix.identity(2), SymmetricMatrix.identity(3))
 
 
 class TestRankOneUpdate:
@@ -225,9 +145,27 @@ class TestMatrixPower:
             np.linalg.eigvalsh(out.mat), np.sqrt(lam), atol=1e-10
         )
 
-    def test_trace_power_consistent(self, rng):
-        a = random_pd(rng, 5)
-        assert trace_power(a, 0.5) == pytest.approx(matrix_power_psd(a, 0.5).trace())
+    def test_sqrt_of_diagonal(self):
+        a = SymmetricMatrix.from_diagonal([4.0, 9.0])
+        np.testing.assert_allclose(
+            matrix_power_psd(a, 0.5).mat, np.diag([2.0, 3.0]), atol=1e-12
+        )
+
+    def test_unit_exponent_returns_the_input(self, rng):
+        a = random_pd(rng, 4)
+        np.testing.assert_allclose(matrix_power_psd(a, 1.0).mat, a.mat, atol=1e-10)
+
+    def test_sqrt_then_square_recovers(self, rng):
+        a = random_psd(rng, 5)
+        root = matrix_power_psd(a, 0.5)
+        np.testing.assert_allclose(root.mat @ root.mat, a.mat, atol=1e-8)
+
+    def test_roundoff_negative_is_clamped(self):
+        # eigenvalues {1, -1e-15}: inside the clamp band, the square root must not raise
+        u = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        a = SymmetricMatrix(u @ np.diag([1.0, -1e-15]) @ u.T)
+        root = matrix_power_psd(a, 0.5)
+        assert np.linalg.eigvalsh(root.mat)[0] >= -1e-15
 
     def test_nonpositive_exponent_raises(self):
         with pytest.raises(DomainError, match="positive"):

@@ -258,9 +258,15 @@ class TestRegret:
         assert record.final_regret == pytest.approx(direct, abs=1e-9)
         np.testing.assert_allclose(
             record.cum_regret,
-            np.cumsum(record.losses - record.comparator_losses),
+            np.cumsum(result.losses - record.comparator_losses),
             atol=1e-9,
         )
+
+    def test_record_keeps_no_copy_of_the_run_losses(self):
+        result, problem, x_star = self.run_case()
+        record = regret(result, problem, x_star)
+        assert not hasattr(record, "losses")
+        assert record.comparator_losses.shape == result.losses.shape
 
 
 class TestOnlineToBatch:

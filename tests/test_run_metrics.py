@@ -59,6 +59,8 @@ def test_counters_are_not_history_bytes():
     result = run(make_preset("adagrad-full", fset).config, PullProblem(3, 2, fset), 20)
     assert not hasattr(result.projection_active, "nbytes")
     assert not hasattr(result.deferred_rounds, "nbytes")
+    # derived from the h_defined flags, not kept as a second record
+    assert "deferred_rounds" not in vars(result)
 
 
 def summary_json(stdout):
