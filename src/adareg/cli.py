@@ -37,7 +37,7 @@ from .problems import PROBLEM_FAMILIES, best_fixed_comparator, make_problem, reg
 from .sets import Ball, Box
 
 # Phases of ``run`` timed in the summary's ``metrics.phase_s``, in order.
-_RUN_PHASES = ("setup", "run", "comparator", "regret", "bounds", "csv")
+_RUN_PHASES = ("setup", "comparator", "run", "regret", "bounds", "csv")
 
 # Run flags that override a preset parameter or a problem constant.
 _PRESET_FLAGS = sorted(set().union(*(spec.flags for spec in presets.ALGORITHMS.values())))
@@ -157,9 +157,11 @@ def cmd_run(args, parser) -> int:
     problem = make_problem(args.problem, args.dim, args.seed, fset, **problem_kwargs)
     preset = presets.build_preset(args.algo, fset, problem, horizon=args.horizon, **overrides)
     marks.append(time.perf_counter())
-    result = engine_run(preset.config, problem, args.horizon)
-    marks.append(time.perf_counter())
+    # x* first: the run's own block draws then give f_t(x*), and regret draws nothing
     x_star, flat = best_fixed_comparator(problem, args.horizon)
+    problem.watch(x_star[None, :], args.horizon)
+    marks.append(time.perf_counter())
+    result = engine_run(preset.config, problem, args.horizon)
     marks.append(time.perf_counter())
     record = regret(result, problem, x_star)
     marks.append(time.perf_counter())

@@ -71,10 +71,14 @@ def _diameter(fset: FeasibleSet, b: Optional[float], norm: str, name: str) -> fl
     return fset.diameter(norm)
 
 
-def _eta_scaled(algo_id, potential, domain, fset, x1, b, b_name, norm, epsilon, eta, **params):
-    """A preset whose potential is ``potential(eta)``, eta defaulting to b / sqrt(2)."""
+def _check_epsilon(epsilon) -> None:
     if not (epsilon >= 0.0 and math.isfinite(epsilon)):
         raise ConfigError(f"epsilon must be nonnegative and finite, got {epsilon}")
+
+
+def _eta_scaled(algo_id, potential, domain, fset, x1, b, b_name, norm, epsilon, eta, **params):
+    """A preset whose potential is ``potential(eta)``, eta defaulting to b / sqrt(2)."""
+    _check_epsilon(epsilon)
     b = _diameter(fset, b, norm, b_name)
     if eta is None:
         eta = b / math.sqrt(2.0)
@@ -147,6 +151,7 @@ def optimal_pnorm_eta(b: float, p: float, g_spectrum: np.ndarray) -> float:
 
 def oblivious_final_spectrum(problem, fset, horizon, epsilon=DEFAULT_EPSILON):
     """Spectrum of eps*I + sum g_t g_t' for an iterate-independent stream."""
+    _check_epsilon(epsilon)
     d = fset.dim
     g_sum = epsilon * np.eye(d)
     for (g,) in problem.blocks(1, horizon + 1):

@@ -38,6 +38,15 @@ small runs keep their peak memory.
   ``regret`` and ``oracles.theorem1_check`` read.  The families evaluate
   them in the factored forms 1/2 (x - z)' A (x - z) and (w . x - y)^2,
   which do not cancel when x is close to z.
+* ``watch(points, horizon)`` asks for the losses at k points over rounds
+  1..horizon ahead of a run.  Each block the oracle draws just after the
+  filled prefix fills its rows from ``_block_losses`` on the block's
+  first rows, the rows ``losses`` would draw, so a run that reads its
+  rounds in order fills them all.  ``losses`` at those points then hands
+  the rows out read-only without drawing; any other request draws.
+  ``adareg run`` finds the comparator x* before the run and watches it,
+  so each round is drawn twice: by ``cumulative_quadratic`` and by the
+  run.
 * ``round_loss_fn(t)`` draws round t once for the constant checks.
 
 Declared constants (gradient bound gamma, strong convexity alpha,
@@ -151,6 +160,13 @@ class OnlineProblem:
     def round_loss_fn(self, t: int) -> Callable:
         return lambda x: self.loss_and_gradient(t, x)
 
+    def watch(self, points: np.ndarray, horizon: int) -> None:
+        """Ask for the losses at ``points`` over rounds 1..horizon; a no-op here.
+
+        :class:`BlockedProblem` records them from the blocks a run draws, so
+        that ``losses`` need not draw those rounds again.
+        """
+
     def cumulative_quadratic(self, horizon: int):
         """Coefficients (A, b, c) with sum_{t<=T} f_t(x) = 1/2 x'Ax + b'x + c."""
         raise NotImplementedError
@@ -211,6 +227,9 @@ class BlockedProblem(OnlineProblem):
     _block: Tuple[np.ndarray, ...] = ()
     _quadratic_horizon: Optional[int] = None
     _quadratic: Tuple = ()
+    _watched_points: Optional[np.ndarray] = None
+    _watched = np.empty((0, 0))  # (horizon, k) losses; rows 1.._watched_filled are set
+    _watched_filled = 0
 
     def blocks(self, t0: int, t1: int) -> Iterator[Tuple[np.ndarray, ...]]:
         """``round_block`` over t0 <= t < t1, at most BLOCK_ROUNDS rounds at a time."""
@@ -235,15 +254,52 @@ class BlockedProblem(OnlineProblem):
             for factor in block:
                 factor.setflags(write=False)
             self._block, self._block_start = block, start
+            if start == self._watched_filled + 1 <= len(self._watched):
+                self._fill_watched(block)
         i = t - start
         return [factor[i] for factor in self._block]
+
+    def watch(self, points, horizon):
+        """Record the losses at ``points`` over rounds 1..horizon from the run's draws.
+
+        Keeps a read-only copy of the (k, d) ``points`` and one (horizon, k)
+        array.  Each block that ``round_data`` draws next after the filled
+        prefix fills its rows up to the horizon, so a run that reads rounds
+        in order fills them all; ``losses`` then hands them out for these
+        points without drawing.  A second call replaces the first.
+        """
+        points = np.array(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.dim:
+            raise ValidationError(f"watched points must be (k, {self.dim}), got {points.shape}")
+        if horizon < 1:
+            raise ValidationError(f"horizon must be at least 1, got {horizon}")
+        points.setflags(write=False)
+        self._watched_points = points
+        self._watched = np.empty((int(horizon), points.shape[0]))
+        self._watched_filled = 0
+        # drop the cached block, so the next read draws and fills its rows
+        self._block_start = None
+
+    def _fill_watched(self, block):
+        """Rows of the block that starts just after the filled prefix, as ``losses`` draws them."""
+        start = self._watched_filled
+        n = min(BLOCK_ROUNDS, len(self._watched) - start)
+        rows = [factor[:n] for factor in block]
+        self._watched[start : start + n] = self._block_losses(rows, self._watched_points)
+        self._watched_filled = start + n
 
     def round_loss_fn(self, t: int) -> Callable:
         """(loss, gradient) of round t as a function of x, with the round drawn once."""
         return functools.partial(self._evaluate, [f[0] for f in self.round_block(t, t + 1)])
 
     def losses(self, t0, t1, points):
+        """As :meth:`OnlineProblem.losses`; watched rows come read-only, without a draw."""
+        _block_length(t0, t1)
         points = np.asarray(points, dtype=float)
+        if t1 - 1 <= self._watched_filled and np.array_equal(points, self._watched_points):
+            rows = self._watched[t0 - 1 : t1 - 1]
+            rows.setflags(write=False)
+            return rows
         return np.concatenate([self._block_losses(block, points) for block in self.blocks(t0, t1)])
 
     def cumulative_quadratic(self, horizon):

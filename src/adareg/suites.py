@@ -179,8 +179,9 @@ def _bounds_case(algo_id, problem_id, fset, run_seed, horizon, fault) -> Optiona
     case = f"{algo_id}/{problem_id}"
     problem = make_problem(problem_id, fset.dim, run_seed, fset, validate=False)
     preset = build_matched_preset(algo_id, fset, problem, horizon=horizon)
-    result = engine_run(preset.config, problem, horizon)
     x_star, _ = best_fixed_comparator(problem, horizon)
+    problem.watch(x_star[None, :], horizon)
+    result = engine_run(preset.config, problem, horizon)
     record = regret(result, problem, x_star)
     cert = oracles.regret_bound(preset.algo_id, preset.bound_params, result, record.final_regret)
     bound = cert.bound

@@ -37,8 +37,9 @@ def decomposition(algo_id):
     problem_id, fset = _matched_setups(DIM)[algo_id]
     problem = make_problem(problem_id, DIM, SEED, fset, validate=False)
     preset = build_matched_preset(algo_id, fset, problem, horizon=HORIZON)
-    result = run(preset.config, problem, HORIZON)
     x_star, _ = best_fixed_comparator(problem, HORIZON)
+    problem.watch(x_star[None, :], HORIZON)
+    result = run(preset.config, problem, HORIZON)
     _, worst, cumulative = mirror_descent_lemma_check(result, x_star)
     report = theorem1_check(result, problem, x_refs=[x_star])
     return {

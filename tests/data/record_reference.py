@@ -33,8 +33,9 @@ def trajectory(algo_id):
     problem_id, fset = _matched_setups(DIM)[algo_id]
     problem = make_problem(problem_id, DIM, SEED, fset, validate=False)
     preset = build_matched_preset(algo_id, fset, problem, horizon=HORIZON)
-    result = run(preset.config, problem, HORIZON)
     x_star, _ = best_fixed_comparator(problem, HORIZON)
+    problem.watch(x_star[None, :], HORIZON)
+    result = run(preset.config, problem, HORIZON)
     record = regret(result, problem, x_star)
     cert = regret_bound(preset.algo_id, preset.bound_params, result, record.final_regret)
     return {"xs": result.xs, "cum_regret": record.cum_regret, "bound": np.array(cert.bound)}

@@ -8,6 +8,7 @@ import pytest
 
 from adareg.cli import _PRESET_FLAGS, build_parser, main
 from adareg.presets import ALGORITHMS
+from adareg.problems import OnlineProblem
 
 HEADER = "t,loss,cum_loss,cum_regret,delta_t,bound_prefix"
 
@@ -215,6 +216,22 @@ class TestOverrides:
         assert "epsilon must be nonnegative and finite" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("algo", ["adagrad-full", "adagrad-diag", "pnorm"])
+    def test_nonfinite_epsilon_is_a_usage_error(self, tmp_path, monkeypatch, capsys, algo, value):
+        # pnorm tunes eta from eps*I + sum g g' before the preset is built, so
+        # epsilon is checked ahead of that eigendecomposition too
+        monkeypatch.chdir(tmp_path)
+        code = run_cli(
+            "run", "--algo", algo, "--problem", "adv-linear", "--dim", "3",
+            "--horizon", "20", "--out", "r.csv", f"--epsilon={value}",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: epsilon must be nonnegative and finite")
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.csv").exists()
+
     @pytest.mark.parametrize("algo,flag", [
         ("ons-full", "--beta"), ("ons-diag", "--beta"), ("sc-ogd", "--alpha"),
     ])
@@ -305,6 +322,25 @@ class TestUserSetEtaCertificate:
         # 0.894 was sqrt(2) * (0.01 sqrt(2)) * sqrt(sum |g|^2)
         root_sum_sq = 0.89442719099991597 / 0.02
         assert payload["bound"] == pytest.approx((0.01 + 4.0 / 0.02) * root_sum_sq, rel=1e-9)
+
+
+def test_run_draws_each_round_twice(tmp_path, monkeypatch):
+    draws = []
+    round_rng = OnlineProblem.round_rng
+
+    def counting(self, t):
+        draws.append(t)
+        return round_rng(self, t)
+
+    monkeypatch.setattr(OnlineProblem, "round_rng", counting)
+    code = run_cli(
+        "run", "--algo", "sc-ogd", "--problem", "rot-quad", "--dim", "3", "--horizon", "200",
+        "--seed", "6", "--out", str(tmp_path / "r.csv"),
+    )
+    assert code == 0
+    # 32 for the constant checks, 200 for the comparator and 256 for the run,
+    # in four 64-round blocks; regret reads f_t(x*) from the run's blocks
+    assert len(draws) == 32 + 200 + 256
 
 
 class TestInternalErrors:
