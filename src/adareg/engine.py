@@ -10,12 +10,15 @@ takes a projected step
 The state keeps ``G_t`` only as far as its domain reads it (see
 :class:`adareg.potentials.Accumulator`).  The diagonal domain keeps a
 d-vector and the isotropic domain a scalar trace: their rounds step with
-``h * g`` or ``s * g`` and project by a clip, a radial scaling or a
-Newton solve on the diagonal metric, and never form a d x d matrix.  The
-full domain keeps the dense ``G_t`` and does one eigendecomposition per
-round; ``H_t``, ``H_t^{-1}`` and the ball or box projection all reuse
-its eigenvectors.  Dense ``SymmetricMatrix`` views of ``G_t`` and
-``H_t`` are built only when a caller asks for them.
+``h * g`` or ``s * g`` and never form a d x d matrix.  The full domain
+keeps the dense ``G_t`` and does one eigendecomposition per round;
+``H_t`` and ``H_t^{-1}`` reuse its eigenvectors.  In every domain the
+projection receives ``H_t^{-1}`` as one
+:class:`~adareg.linalg.SpectralDecomposition`: its spectrum in the
+eigenbasis of ``G_t``, or with no basis when it is diagonal, which
+projects by a clip, a radial scaling or a Newton solve on the spectrum.
+So the projection decomposes nothing itself.  Dense ``SymmetricMatrix``
+views of ``G_t`` and ``H_t`` are built only when a caller asks for them.
 
 ``step`` and ``run`` share one round rule, a kernel that owns a mutable
 accumulator and updates it in place (``diag += g*g``, ``trace += g.g``

@@ -20,6 +20,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -78,14 +79,21 @@ class SymmetricMatrix:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (descending) and matching orthonormal eigenvector columns."""
+    """The matrix U diag(lam) U^T as its eigenvalues and orthonormal eigenvector columns.
+
+    :func:`eig_sym` reports the eigenvalues in descending order.  ``eigenvectors``
+    None stands for U = I: the matrix is diagonal with ``eigenvalues`` as its
+    diagonal, in any order.
+    """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: Optional[np.ndarray] = None
 
     def dense(self) -> np.ndarray:
         """U diag(lam) U^T as a plain array, symmetrized as SymmetricMatrix stores it."""
         u = self.eigenvectors
+        if u is None:
+            return np.diag(self.eigenvalues)
         a = u @ (self.eigenvalues[:, None] * u.T)
         return (a + a.T) / 2.0
 
@@ -150,6 +158,5 @@ def matrix_power_psd(a: SymmetricMatrix, q: float) -> SymmetricMatrix:
             f"matrix power requires a positive-semidefinite input; "
             f"smallest eigenvalue is {lam.min():.3e}"
         )
-    u = dec.eigenvectors
-    return SymmetricMatrix(u @ (np.power(lam, q)[:, None] * u.T))
+    return SymmetricMatrix(SpectralDecomposition(np.power(lam, q), dec.eigenvectors).dense())
 

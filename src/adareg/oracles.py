@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ValidationError
-from .linalg import SymmetricMatrix, clamp_spectrum
+from .linalg import SpectralDecomposition, SymmetricMatrix, clamp_spectrum
 from .potentials import RegularizerDomain, SpectralPotential
 from .presets import ALGORITHMS, algorithm_spec
 from .problems import best_fixed_comparator
@@ -146,8 +146,8 @@ def random_quadratic_instance(rng, horizon, dim=2) -> FtlBtlInstance:
     for _ in range(horizon + 1):
         q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
         lam = rng.uniform(0.2, 2.0, size=dim)
-        a = q @ (lam[:, None] * q.T)
-        fns.append(QuadraticFn(a=(a + a.T) / 2.0, z=rng.uniform(-1.2, 1.2, size=dim)))
+        a = SpectralDecomposition(lam, q).dense()
+        fns.append(QuadraticFn(a=a, z=rng.uniform(-1.2, 1.2, size=dim)))
     domain = Box(lower=-np.ones(dim), upper=np.ones(dim))
     return FtlBtlInstance(functions=fns, domain=domain)
 

@@ -156,11 +156,12 @@ class PNormPotential(SpectralPotential):
 class RegularizerSolution:
     """Minimizer of <G, H> + Phi(H) plus quantities the engine reuses.
 
-    The minimizer is kept in the form its domain produces: ``h_spectrum``
-    holds the eigenvalues of H in the eigenbasis ``basis`` of G (full cone),
-    or the diagonal of H with ``basis`` None (diagonal and isotropic slices,
-    whose H is diagonal).  ``h_inv_spectrum`` is the same for the inverse,
-    which shares the basis.  ``phi_h`` is the potential value Phi(H) and
+    The minimizer is kept in the form its domain produces, which is the
+    form of a :class:`SpectralDecomposition`: ``h_spectrum`` holds the
+    eigenvalues of H in the eigenbasis ``basis`` of G (full cone), or the
+    diagonal of H with ``basis`` None (diagonal and isotropic slices, whose
+    H is diagonal).  ``h_inv_spectrum`` is the same for the inverse, which
+    shares the basis.  ``phi_h`` is the potential value Phi(H) and
     ``g_dot_h`` the inner product <G, H>, all computed from the same
     decomposition of G so they agree to round-off.  ``g_spectrum`` is the
     spectrum of G as seen by the domain: eigenvalues for the full cone,
@@ -196,22 +197,18 @@ class RegularizerSolution:
         return u @ (spectrum * (u.T @ v))
 
     @property
-    def metric(self):
-        """H^{-1} in a form :func:`adareg.sets.project` needs no eigendecomposition for.
+    def metric(self) -> SpectralDecomposition:
+        """H^{-1} as the :class:`SpectralDecomposition` :func:`adareg.sets.project` reads.
 
-        The diagonal of H^{-1} when H is diagonal, otherwise its
-        :class:`SpectralDecomposition` in the eigenbasis shared with G.
+        It shares ``basis`` with G, so the projection needs no
+        eigendecomposition of its own in any domain.
         """
-        if self.basis is None:
-            return self.h_inv_spectrum
-        return SpectralDecomposition(eigenvalues=self.h_inv_spectrum, eigenvectors=self.basis)
+        return SpectralDecomposition(self.h_inv_spectrum, self.basis)
 
     def dense(self, inverse: bool = False) -> np.ndarray:
         """H (or H^{-1}) as a plain d x d array."""
         spectrum = self.h_inv_spectrum if inverse else self.h_spectrum
-        if self.basis is None:
-            return np.diag(spectrum)
-        return SpectralDecomposition(eigenvalues=spectrum, eigenvectors=self.basis).dense()
+        return SpectralDecomposition(spectrum, self.basis).dense()
 
     @property
     def h(self) -> SymmetricMatrix:

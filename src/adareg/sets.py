@@ -1,14 +1,18 @@
 """Feasible sets and projections in matrix-weighted norms.
 
 The online algorithms project onto their feasible set under the norm
-``|v|_H = sqrt(v^T H v)`` induced by the current regularizer.  Three set
+``|v|_H = sqrt(v^T H v)`` induced by the current regularizer.  The metric
+H always reaches the projection in one form, its spectrum ``lam`` in a
+basis U (a :class:`SpectralDecomposition`), where U is None for a diagonal
+metric: :func:`project` converts its other accepted inputs to that form
+once, and checks the dimension and positivity of ``lam`` once.  Three set
 shapes are supported:
 
 * :class:`Unconstrained` (projection is the identity),
 * :class:`Ball` (Euclidean ball; general weighted projection reduces to a
-  Newton solve for one multiplier in the eigenbasis of H),
-* :class:`Box` (axis-aligned; coordinatewise clip when H is diagonal, a
-  projected-Newton solve otherwise).
+  Newton solve for one multiplier in the basis U),
+* :class:`Box` (axis-aligned; coordinatewise clip when U is None, a
+  projected-Newton solve on the dense U diag(lam) U' otherwise).
 
 The module also provides :func:`minimize_quadratic_over_set`, an
 accelerated projected-gradient solver for convex quadratics over these
@@ -29,6 +33,8 @@ from .linalg import SpectralDecomposition, SymmetricMatrix, eig_sym
 
 _INSIDE_RTOL = 1e-12
 _BALL_MAX_STEPS = 50
+_BOX_MAX_STEPS = 500
+_BOX_GAP_RTOL = 1e-10
 
 
 class FeasibleSet:
@@ -209,55 +215,54 @@ class Box(FeasibleSet):
 def project(x: np.ndarray, fset: FeasibleSet, h) -> np.ndarray:
     """Projection of x onto the set under the norm |v|_H, H positive definite.
 
-    ``h`` is the metric H in one of three forms: a :class:`SymmetricMatrix`;
-    its :class:`SpectralDecomposition`, so a caller that already holds the
-    eigenbasis (the engine's full-domain rounds) saves a second one; or a
-    1-D array holding the entries of a diagonal metric.  Points already in
-    the set are returned unchanged.  The result minimizes ``|x' - x|_H``
-    over the set to an objective gap below 1e-8.
+    ``h`` is the metric H as a :class:`SpectralDecomposition` (the engine's
+    rounds pass H_t^{-1} in the eigenbasis of G_t, or with no basis when it is
+    diagonal), a :class:`SymmetricMatrix`, which is decomposed here, or the
+    1-D diagonal of a diagonal metric.  Points already in the set are
+    returned unchanged, before the metric is read.  The result minimizes
+    ``|x' - x|_H`` over the set to an objective gap below 1e-8.
     """
     x = np.asarray(x, dtype=float)
     if isinstance(fset, Unconstrained):
         return x
-    if x.shape != (fset.dim,) or _metric_dim(h) != fset.dim:
+    if x.shape != (fset.dim,):
         raise ValidationError("projection input dimensions do not match the set")
     if fset.contains(x, tol=_INSIDE_RTOL):
         return x
-    if isinstance(fset, Ball):
-        if isinstance(h, np.ndarray):
-            return _project_ball(x, fset, h, None)
-        dec = h if isinstance(h, SpectralDecomposition) else eig_sym(h)
-        return _project_ball(x, fset, dec.eigenvalues, dec.eigenvectors)
-    if isinstance(fset, Box):
-        if isinstance(h, np.ndarray):
-            return _clip(x, fset, h)
-        if isinstance(h, SpectralDecomposition):
-            return _project_box(x, fset, h.dense(), h.eigenvalues)
-        return _project_box(x, fset, h.mat, None)
-    raise ValidationError(f"unsupported feasible set {type(fset).__name__}")
-
-
-def _metric_dim(h) -> int:
     if isinstance(h, SymmetricMatrix):
-        return h.dim
-    if isinstance(h, SpectralDecomposition):
-        return h.eigenvalues.shape[0]
-    if isinstance(h, np.ndarray) and h.ndim == 1:
-        return h.shape[0]
-    raise ValidationError(
-        "projection metric must be a SymmetricMatrix, a SpectralDecomposition "
-        "or the 1-D diagonal of a diagonal metric"
-    )
-
-
-def _project_ball(x: np.ndarray, ball: Ball, lam: np.ndarray, u: Optional[np.ndarray]):
-    """Weighted ball projection for the metric U diag(lam) U' (U = I when ``u`` is None)."""
-    lam_max = float(lam.max())
+        h = eig_sym(h)
+    elif isinstance(h, np.ndarray) and h.ndim == 1:
+        h = SpectralDecomposition(h)
+    elif not isinstance(h, SpectralDecomposition):
+        raise ValidationError(
+            "projection metric must be a SymmetricMatrix, a SpectralDecomposition "
+            "or the 1-D diagonal of a diagonal metric"
+        )
+    lam = h.eigenvalues
+    if lam.shape != x.shape:
+        raise ValidationError("projection input dimensions do not match the set")
     lam_min = float(lam.min())
     if lam_min <= 0.0:
         raise DomainError(
             f"projection metric must be positive definite; smallest eigenvalue {lam_min:.3e}"
         )
+    if isinstance(fset, Ball):
+        return _project_ball(x, fset, h, lam_min)
+    if not isinstance(fset, Box):
+        raise ValidationError(f"unsupported feasible set {type(fset).__name__}")
+    if h.eigenvectors is None:
+        # Diagonal metric: the objective separates per coordinate, so the
+        # weighted projection is the plain clip regardless of the weights.
+        # np.minimum(np.maximum(...)) is the clip for lower < upper, at a
+        # quarter of np.clip's call overhead.
+        return np.minimum(np.maximum(x, fset.lower), fset.upper)
+    return _projected_newton_box(x, fset, h)
+
+
+def _project_ball(x: np.ndarray, ball: Ball, h: SpectralDecomposition, lam_min: float):
+    """Weighted ball projection for the metric ``h`` = U diag(lam) U' (U = I without a basis)."""
+    lam, u = h.eigenvalues, h.eigenvectors
+    lam_max = float(lam.max())
     v = x - ball.center
     if lam_max - lam_min <= 1e-14 * lam_max:
         # Isotropic metric: weighted projection coincides with radial scaling.
@@ -289,51 +294,20 @@ def _project_ball(x: np.ndarray, ball: Ball, lam: np.ndarray, u: Optional[np.nda
     return ball.center + (z if u is None else u @ z)
 
 
-def _clip(x: np.ndarray, box: Box, diag: np.ndarray) -> np.ndarray:
-    if (diag <= 0.0).any():
-        raise DomainError("projection metric must be positive definite")
-    # Diagonal metric: the objective separates per coordinate, so the
-    # weighted projection is the plain clip regardless of the weights.
-    # np.minimum(np.maximum(...)) is the clip for lower < upper, at a
-    # quarter of np.clip's call overhead.
-    return np.minimum(np.maximum(x, box.lower), box.upper)
-
-
-def _project_box(x: np.ndarray, box: Box, hm: np.ndarray, lam: Optional[np.ndarray]):
-    """Weighted box projection for the dense metric ``hm``, whose spectrum ``lam`` may be known."""
-    off_diag = hm[~np.eye(box.dim, dtype=bool)]
-    if np.count_nonzero(off_diag) == 0:
-        return _clip(x, box, np.diag(hm))
-    if lam is None:
-        lam = np.linalg.eigvalsh(hm)
-    return _projected_newton_box(x, box, hm, float(np.min(lam)), float(np.max(lam)))
-
-
-def _projected_newton_box(
-    x: np.ndarray,
-    box: Box,
-    hm: np.ndarray,
-    lam_min: float,
-    lam_max: float,
-    max_iter: int = 500,
-    gap_tol: float = 1e-10,
-) -> np.ndarray:
+def _projected_newton_box(x: np.ndarray, box: Box, h: SpectralDecomposition) -> np.ndarray:
     """Bertsekas-style projected Newton for min 1/2 (y-x)' H (y-x) over a box."""
-    if lam_min <= 0.0:
-        raise DomainError(
-            f"projection metric must be positive definite; smallest eigenvalue {lam_min:.3e}"
-        )
+    hm = h.dense()
     lo, hi = box.lower, box.upper
     y = np.clip(x, lo, hi)
-    scale = max(1.0, float(np.max(np.abs(x))), lam_max)
+    scale = max(1.0, float(np.max(np.abs(x))), float(np.max(h.eigenvalues)))
     band = 1e-10 * np.maximum(1.0, hi - lo)
-    for it in range(max_iter):
+    for _ in range(_BOX_MAX_STEPS):
         grad = hm @ (y - x)
         # Gap certificate: by convexity the suboptimality is at most
         # max_{z in box} grad . (y - z), a coordinatewise-separable linear program.
         z_best = np.where(grad > 0, lo, hi)
         gap = float(grad @ (y - z_best))
-        if gap <= gap_tol * scale:
+        if gap <= _BOX_GAP_RTOL * scale:
             return y
         active = ((y <= lo + band) & (grad > 0)) | ((y >= hi - band) & (grad < 0))
         free = ~active
@@ -357,7 +331,7 @@ def _projected_newton_box(
     z_best = np.where(grad > 0, lo, hi)
     gap = float(grad @ (y - z_best))
     raise ConvergenceError(
-        f"box projection did not converge in {max_iter} iterations (gap {gap:.3e})"
+        f"box projection did not converge in {_BOX_MAX_STEPS} iterations (gap {gap:.3e})"
     )
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import oracles, presets
 from .engine import run as engine_run
 from .errors import ValidationError
-from .linalg import SymmetricMatrix, matrix_power_psd, psd_geq
+from .linalg import SpectralDecomposition, SymmetricMatrix, matrix_power_psd, psd_geq
 from .potentials import (
     AdaGradPotential,
     OnsPotential,
@@ -46,8 +46,7 @@ def random_pd_matrix(rng, dim, lo=0.3, hi=3.0) -> SymmetricMatrix:
     """Random positive-definite matrix with log-uniform spectrum in [lo, hi]."""
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     lam = np.exp(rng.uniform(np.log(lo), np.log(hi), size=dim))
-    a = q @ (lam[:, None] * q.T)
-    return SymmetricMatrix((a + a.T) / 2.0)
+    return SymmetricMatrix(SpectralDecomposition(lam, q).dense())
 
 
 def random_psd_matrix(rng, dim, rank=None) -> SymmetricMatrix:

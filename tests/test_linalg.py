@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from adareg.errors import DomainError, ValidationError
 from adareg.linalg import (
+    SpectralDecomposition,
     SymmetricMatrix,
     clamp_spectrum,
     eig_sym,
@@ -65,6 +66,10 @@ class TestEigSym:
         a = random_pd(rng, 5)
         dec = eig_sym(a)
         np.testing.assert_allclose(dec.dense(), a.mat, atol=1e-9)
+
+    def test_no_basis_is_the_diagonal_matrix(self):
+        lam = np.array([0.5, 3.0, 2.0])
+        np.testing.assert_array_equal(SpectralDecomposition(lam).dense(), np.diag(lam))
 
 
 def test_clamp_spectrum_band():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from adareg.errors import ConvergenceError, DomainError, ValidationError
-from adareg.linalg import SpectralDecomposition, SymmetricMatrix
+from adareg.linalg import SpectralDecomposition, SymmetricMatrix, eig_sym
 from adareg.sets import Ball, Box, Unconstrained, minimize_quadratic_over_set, project
 from conftest import random_pd
 
@@ -212,3 +212,71 @@ class TestQuadraticMinimizer:
                 np.zeros((2, 2)), np.array([1.0, 0.0]), Unconstrained(dim=2),
                 max_iter=2_000,
             )
+
+
+def metric_forms(lam, u):
+    """The metric U diag(lam) U' in each form ``project`` accepts (the 1-D form takes U = I)."""
+    lam = np.asarray(lam, dtype=float)
+    return {
+        "symmetric": SymmetricMatrix(SpectralDecomposition(lam, u).dense()),
+        "spectral": SpectralDecomposition(lam, u),
+        "diagonal": lam,
+    }
+
+
+CONTRACT_SETS = {"ball": Ball(np.zeros(3), 1.0), "box": Box(-np.ones(3), np.ones(3))}
+OUTSIDE = np.array([3.0, -2.0, 2.5])
+ROTATION = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))[0]
+SIGNED_PERMUTATION = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
+
+
+class TestProjectContract:
+    """The errors ``project`` raises, the same for every metric form and set."""
+
+    @pytest.mark.parametrize("set_kind", sorted(CONTRACT_SETS))
+    @pytest.mark.parametrize("form", ["symmetric", "spectral", "diagonal"])
+    @pytest.mark.parametrize(
+        "lam, u",
+        [((2.0, -0.5, 1.0), ROTATION), ((2.0, 0.0, 1.0), SIGNED_PERMUTATION)],
+        ids=["negative", "zero"],
+    )
+    def test_nonpositive_metric_is_a_domain_error(self, set_kind, form, lam, u):
+        metric = metric_forms(lam, u)[form]
+        with pytest.raises(DomainError, match="positive definite"):
+            project(OUTSIDE, CONTRACT_SETS[set_kind], metric)
+
+    @pytest.mark.parametrize("set_kind", sorted(CONTRACT_SETS))
+    @pytest.mark.parametrize("form", ["symmetric", "spectral", "diagonal"])
+    def test_wrong_dimension_metric_is_a_validation_error(self, set_kind, form):
+        metric = metric_forms((2.0, 1.0), np.array([[0.6, -0.8], [0.8, 0.6]]))[form]
+        with pytest.raises(ValidationError, match="dimensions"):
+            project(OUTSIDE, CONTRACT_SETS[set_kind], metric)
+
+    @pytest.mark.parametrize("set_kind", sorted(CONTRACT_SETS))
+    @pytest.mark.parametrize("metric", [[1.0, 2.0, 3.0], np.eye(3)], ids=["list", "2d-array"])
+    def test_other_metric_types_are_validation_errors(self, set_kind, metric):
+        with pytest.raises(ValidationError, match="projection metric"):
+            project(OUTSIDE, CONTRACT_SETS[set_kind], metric)
+
+
+class TestMetricForms:
+    """Every form of one metric projects every point to the same place."""
+
+    def test_dense_metric_as_matrix_and_as_its_decomposition(self, rng):
+        for fset in make_sets():
+            h = random_pd(rng, 3)
+            for _ in range(5):
+                x = rng.standard_normal(3) * 3.0
+                np.testing.assert_allclose(
+                    project(x, fset, eig_sym(h)), project(x, fset, h), atol=1e-10
+                )
+
+    def test_diagonal_metric_in_every_form(self, rng):
+        for fset in make_sets():
+            lam = rng.uniform(0.3, 3.0, size=3)
+            forms = [SymmetricMatrix.from_diagonal(lam), lam, SpectralDecomposition(lam)]
+            for _ in range(5):
+                x = rng.standard_normal(3) * 3.0
+                ref = project(x, fset, forms[0])
+                for metric in forms[1:]:
+                    np.testing.assert_allclose(project(x, fset, metric), ref, atol=1e-10)
