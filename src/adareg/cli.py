@@ -48,8 +48,13 @@ _RUN_KEYS = {
 }
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+_TRACE_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g"  # '%.17g' % x prints as f"{x:.17g}" does
+
+
+def _trace_rows(*columns) -> list:
+    """The trace CSV's header and rows; the column lists are freed on return, before the join."""
+    values = zip(range(1, len(columns[0]) + 1), *(column.tolist() for column in columns))
+    return ["t,loss,cum_loss,cum_regret,delta_t,bound_prefix", *map(_TRACE_ROW.__mod__, values)]
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -128,6 +133,8 @@ def parse_config(argv) -> argparse.Namespace:
             spliced.append(str(value))
         where = list(argv).index("run") + 1
         args = build_parser().parse_args(list(argv[:where]) + spliced + list(argv[where:]))
+    if getattr(args, "seed", 0) < 0:
+        parser.error(f"--seed must be nonnegative, got {args.seed}")
     return args
 
 
@@ -169,22 +176,9 @@ def cmd_run(args, parser) -> int:
     prefix_bounds = bound_prefix_series(preset.algo_id, preset.bound_params, result)
     marks.append(time.perf_counter())
 
-    lines = ["t,loss,cum_loss,cum_regret,delta_t,bound_prefix"]
     cum_loss = np.cumsum(result.losses)
-    for i in range(result.horizon):
-        lines.append(
-            ",".join(
-                (
-                    str(i + 1),
-                    _fmt(result.losses[i]),
-                    _fmt(cum_loss[i]),
-                    _fmt(record.cum_regret[i]),
-                    _fmt(record.deltas[i]),
-                    _fmt(prefix_bounds[i]),
-                )
-            )
-        )
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+    rows = _trace_rows(result.losses, cum_loss, record.cum_regret, record.deltas, prefix_bounds)
+    _atomic_write(args.out, "\n".join(rows) + "\n")
     marks.append(time.perf_counter())
 
     wall = marks[-1] - marks[0]
@@ -245,7 +239,7 @@ def _plain(value):
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return _fmt(value)
+        return f"{value:.17g}"
     return str(value)
 
 

@@ -225,12 +225,7 @@ def step(state: AdaRegState, g: np.ndarray) -> AdaRegState:
 
 
 def mirror_step_argmin(
-    x: np.ndarray,
-    g: np.ndarray,
-    h: SymmetricMatrix,
-    fset: FeasibleSet,
-    gap_tol: float = 1e-10,
-    max_iter: int = 50_000,
+    x: np.ndarray, g: np.ndarray, h: SymmetricMatrix, fset: FeasibleSet
 ) -> np.ndarray:
     """The update written as a regularized minimization, solved numerically.
 
@@ -250,9 +245,7 @@ def mirror_step_argmin(
     a_mat = h_inv
     b_vec = g - h_inv @ x
     x0 = fset.euclidean_project(x - h.mat @ g)
-    return minimize_quadratic_over_set(
-        a_mat, b_vec, fset, x0=x0, gap_tol=gap_tol, max_iter=max_iter
-    )
+    return minimize_quadratic_over_set(a_mat, b_vec, fset, x0=x0, max_iter=50_000)
 
 
 @dataclass

@@ -9,7 +9,7 @@ Everything here is built on eigendecompositions of small dense matrices
 Conventions:
 
 * eigenvalues are reported in descending order;
-* construction symmetrizes via ``(A + A^T) / 2`` after checking that the
+* construction symmetrizes via ``A + (A^T - A) / 2`` after checking that the
   asymmetry is at round-off level, so downstream code never sees an
   asymmetric array;
 * eigenvalues in a small negative band around zero are clamped to zero
@@ -50,7 +50,8 @@ class SymmetricMatrix:
                 f"matrix is not symmetric: max |A - A^T| = {skew:.3e} "
                 f"exceeds {SYMMETRY_RTOL * scale:.3e}"
             )
-        a = (a + a.T) / 2.0
+        # the mean of A and A^T, without the overflow of A + A^T near the float range
+        a = a + (a.T - a) / 2.0
         a.setflags(write=False)
         self.mat = a
 
@@ -90,7 +91,7 @@ class SpectralDecomposition:
     eigenvectors: Optional[np.ndarray] = None
 
     def dense(self) -> np.ndarray:
-        """U diag(lam) U^T as a plain array, symmetrized as SymmetricMatrix stores it."""
+        """U diag(lam) U^T as a plain array, made exactly symmetric by (A + A^T) / 2."""
         u = self.eigenvectors
         if u is None:
             return np.diag(self.eigenvalues)

@@ -43,15 +43,14 @@ from .sets import Box, FeasibleSet, project
 
 @dataclass(frozen=True)
 class QuadraticFn:
-    """1/2 (x - z)' A (x - z) + c with positive-definite A."""
+    """1/2 (x - z)' A (x - z) with positive-definite A."""
 
     a: np.ndarray
     z: np.ndarray
-    c: float = 0.0
 
     def value(self, x):
         v = np.asarray(x, dtype=float) - self.z
-        return 0.5 * float(v @ self.a @ v) + self.c
+        return 0.5 * float(v @ self.a @ v)
 
 
 @dataclass(frozen=True)
@@ -196,6 +195,10 @@ def mirror_descent_lemma_check(run_result, x_ref, tol: float = 1e-8):
 # ---------------------------------------------------------------------------
 
 
+_ARGMIN_MAX_STEPS = 10_000
+_ARGMIN_GRAD_RTOL = 1e-8
+
+
 def _phi_prime_root(potential: SpectralPotential, target: float) -> float:
     """Solve phi'(s) = target by bisection; phi' is strictly decreasing."""
     if target <= 0:
@@ -221,19 +224,16 @@ def _phi_prime_root(potential: SpectralPotential, target: float) -> float:
 
 
 def numeric_potential_argmin(
-    potential: SpectralPotential,
-    g_mat: SymmetricMatrix,
-    domain: RegularizerDomain,
-    max_iter: int = 10_000,
-    grad_tol: float = 1e-8,
+    potential: SpectralPotential, g_mat: SymmetricMatrix, domain: RegularizerDomain
 ) -> SymmetricMatrix:
     """Minimize <G, H> + Phi(H) numerically over the domain.
 
     Uses gradient descent with backtracking on a square-root
     parameterization (H = L L', diagonal entries, or a scalar), started
     from an isotropic point found by scalar bisection.  Stops when the
-    parameter-space gradient norm falls below ``grad_tol`` times the
-    scale of G.  Deliberately avoids the closed-form inverse of phi'.
+    parameter-space gradient norm falls below :data:`_ARGMIN_GRAD_RTOL`
+    times the scale of G, within :data:`_ARGMIN_MAX_STEPS` steps.
+    Deliberately avoids the closed-form inverse of phi'.
     """
     d = g_mat.dim
     gm = g_mat.mat
@@ -297,13 +297,13 @@ def numeric_potential_argmin(
     else:  # pragma: no cover - enum is exhaustive
         raise ValidationError(f"unknown regularizer domain {domain!r}")
 
-    grad_tol_abs = grad_tol * max(1.0, float(np.linalg.norm(gm)))
+    grad_tol_abs = _ARGMIN_GRAD_RTOL * max(1.0, float(np.linalg.norm(gm)))
     x = np.asarray(x0, dtype=float)
     f, grad = fg(x)
     recent = [f]
     prev_x = prev_grad = None
     step = 1.0 / max(1.0, mean_eig)
-    for _ in range(max_iter):
+    for _ in range(_ARGMIN_MAX_STEPS):
         gn = float(np.linalg.norm(grad))
         if gn <= grad_tol_abs:
             return build(x)
@@ -335,7 +335,7 @@ def numeric_potential_argmin(
         if len(recent) > 10:
             recent.pop(0)
     raise ConvergenceError(
-        f"numeric argmin did not reach gradient tolerance in {max_iter} iterations "
+        f"numeric argmin did not reach gradient tolerance in {_ARGMIN_MAX_STEPS} iterations "
         f"(gradient norm {float(np.linalg.norm(grad)):.3e})"
     )
 
@@ -441,7 +441,6 @@ def theorem1_check(
     x_refs: Optional[List[np.ndarray]] = None,
     n_random_refs: int = 20,
     seed: int = 0,
-    tol: float = 1e-8,
 ) -> Theorem1Report:
     """Verify the master inequality at every prefix and many references.
 
@@ -452,7 +451,8 @@ def theorem1_check(
 
     with Delta_t the telescoping squared distances in the H_t^{-1} norm.
     References default to the run's best fixed comparator plus
-    ``n_random_refs`` random feasible points.
+    ``n_random_refs`` random feasible points.  ``ok`` means every
+    normalized margin is at least -1e-8.
     """
     horizon = run_result.horizon
     if x_refs is None:
@@ -470,5 +470,5 @@ def theorem1_check(
     final_lhs = float(np.max(lhs_running[-1]))
     final_rhs = float(np.min(rhs[-1]))
     return Theorem1Report(
-        ok=worst >= -tol, worst_margin=worst, final_lhs=final_lhs, final_rhs=final_rhs, n_refs=k
+        ok=worst >= -1e-8, worst_margin=worst, final_lhs=final_lhs, final_rhs=final_rhs, n_refs=k
     )

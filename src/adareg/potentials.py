@@ -26,10 +26,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, SingularMatrixError, ValidationError
+from .errors import ConfigError, DomainError, SingularMatrixError, ValidationError
 from .linalg import SpectralDecomposition, SymmetricMatrix, clamp_spectrum, eig_sym
 
 
@@ -39,6 +40,17 @@ class RegularizerDomain(enum.Enum):
     FULL = "full"
     DIAGONAL = "diagonal"
     ISOTROPIC = "isotropic"
+
+
+def derived_constant(name: str, compute: Callable[[], float]) -> float:
+    """``compute()`` if it is positive and finite, else a :class:`ConfigError` naming it."""
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise ConfigError(f"{name} is outside the floating-point range for these parameters")
+    return value
 
 
 class SpectralPotential:
@@ -92,13 +104,14 @@ class AdaGradPotential(SpectralPotential):
     def __post_init__(self):
         if not (self.eta > 0 and np.isfinite(self.eta)):
             raise ValidationError(f"eta must be positive and finite, got {self.eta}")
+        object.__setattr__(self, "_eta_sq", derived_constant("eta^2", lambda: self.eta**2))
 
     def _phi(self, x):
-        return -self.eta**2 / x
+        return -self._eta_sq / x
 
     def phi_prime(self, x):
         x = self._require_positive(x, "phi' argument")
-        return self.eta**2 / x**2
+        return self._eta_sq / x**2
 
     def _phi_prime_inverse(self, y):
         return self.eta / np.sqrt(y)
@@ -141,13 +154,17 @@ class PNormPotential(SpectralPotential):
             raise ValidationError(f"eta must be positive and finite, got {self.eta}")
         if not (0.0 < self.p <= 16.0):
             raise ValidationError(f"p must lie in (0, 16], got {self.p}")
+        eta_pow = derived_constant("eta^(p+1)", lambda: self.eta ** (self.p + 1))
+        phi_scale = derived_constant("eta^(p+1)/p", lambda: eta_pow / self.p)
+        object.__setattr__(self, "_eta_pow", eta_pow)
+        object.__setattr__(self, "_phi_scale", phi_scale)
 
     def _phi(self, x):
-        return -(self.eta ** (self.p + 1) / self.p) * x ** (-self.p)
+        return -self._phi_scale * x ** (-self.p)
 
     def phi_prime(self, x):
         x = self._require_positive(x, "phi' argument")
-        return self.eta ** (self.p + 1) * x ** (-(self.p + 1))
+        return self._eta_pow * x ** (-(self.p + 1))
 
     def _phi_prime_inverse(self, y):
         return self.eta * y ** (-1.0 / (self.p + 1))

@@ -30,6 +30,11 @@ exp-concavity constant of the loss family; ``G`` and ``T`` are the
 accumulator and round count at the prefix bounded.  Without ``eta``
 (``c``) a bound takes the minimizing one.  Constants that only enter the
 bounds are carried along in ``bound_params``.
+
+Every preset starts at the set's center; ``dataclasses.replace(preset.config,
+x1=...)`` gives another start.  A derived constant (an ``epsilon``, sc-ogd's
+``beta``, ``eta^2``, ``eta^(p+1)``) outside the floating-point range is a
+:class:`~adareg.errors.ConfigError` that names it.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from .engine import AdaRegConfig
 from .errors import ConfigError, DomainError, ValidationError
 from .linalg import SymmetricMatrix, clamp_spectrum
 from .potentials import AdaGradPotential, OnsPotential, PNormPotential, RegularizerDomain
+from .potentials import derived_constant
 from .sets import FeasibleSet
 
 DEFAULT_EPSILON = 1e-8
@@ -59,10 +65,6 @@ class Preset:
     bound_params: dict = field(default_factory=dict)
 
 
-def _resolve_x1(fset: FeasibleSet, x1) -> np.ndarray:
-    return fset.center_point() if x1 is None else np.asarray(x1, dtype=float)
-
-
 def _diameter(fset: FeasibleSet, b: Optional[float], norm: str, name: str) -> float:
     if b is not None:
         if not (b > 0 and math.isfinite(b)):
@@ -76,7 +78,7 @@ def _check_epsilon(epsilon) -> None:
         raise ConfigError(f"epsilon must be nonnegative and finite, got {epsilon}")
 
 
-def _eta_scaled(algo_id, potential, domain, fset, x1, b, b_name, norm, epsilon, eta, **params):
+def _eta_scaled(algo_id, potential, domain, fset, b, b_name, norm, epsilon, eta, **params):
     """A preset whose potential is ``potential(eta)``, eta defaulting to b / sqrt(2)."""
     _check_epsilon(epsilon)
     b = _diameter(fset, b, norm, b_name)
@@ -86,29 +88,29 @@ def _eta_scaled(algo_id, potential, domain, fset, x1, b, b_name, norm, epsilon, 
         potential=potential(eta),
         domain=domain,
         feasible_set=fset,
-        x1=_resolve_x1(fset, x1),
+        x1=fset.center_point(),
         g0=SymmetricMatrix.identity(fset.dim, epsilon),
     )
     return Preset(algo_id, config, {b_name: b, "eta": eta, **params})
 
 
-def adagrad_full(fset, x1=None, b=None, epsilon=DEFAULT_EPSILON, eta=None) -> Preset:
+def adagrad_full(fset, b=None, epsilon=DEFAULT_EPSILON, eta=None) -> Preset:
     """Full-matrix step sizes proportional to the inverse root of G_t."""
     return _eta_scaled(
-        "adagrad-full", AdaGradPotential, RegularizerDomain.FULL, fset, x1, b, "b", "euclidean",
+        "adagrad-full", AdaGradPotential, RegularizerDomain.FULL, fset, b, "b", "euclidean",
         epsilon, eta,
     )
 
 
-def adagrad_diag(fset, x1=None, b_inf=None, epsilon=DEFAULT_EPSILON, eta=None) -> Preset:
+def adagrad_diag(fset, b_inf=None, epsilon=DEFAULT_EPSILON, eta=None) -> Preset:
     """Per-coordinate step sizes from the diagonal of the accumulator."""
     return _eta_scaled(
-        "adagrad-diag", AdaGradPotential, RegularizerDomain.DIAGONAL, fset, x1, b_inf, "b_inf",
+        "adagrad-diag", AdaGradPotential, RegularizerDomain.DIAGONAL, fset, b_inf, "b_inf",
         "infinity", epsilon, eta,
     )
 
 
-def adaptive_ogd(fset, x1=None, c=None, b=None) -> Preset:
+def adaptive_ogd(fset, c=None, b=None) -> Preset:
     """Scalar step size c / sqrt(sum of squared gradient norms); G0 = 0."""
     b = _diameter(fset, b, "euclidean", "b")
     if c is None:
@@ -120,13 +122,13 @@ def adaptive_ogd(fset, x1=None, c=None, b=None) -> Preset:
         potential=AdaGradPotential(eta=c / math.sqrt(d)),
         domain=RegularizerDomain.ISOTROPIC,
         feasible_set=fset,
-        x1=_resolve_x1(fset, x1),
+        x1=fset.center_point(),
         g0=SymmetricMatrix.zero(d),
     )
     return Preset("adaptive-ogd", config, {"b": b, "c": c})
 
 
-def pnorm(fset, p=DEFAULT_P, x1=None, b=None, eta=None, epsilon=DEFAULT_EPSILON) -> Preset:
+def pnorm(fset, p=DEFAULT_P, b=None, eta=None, epsilon=DEFAULT_EPSILON) -> Preset:
     """Full-matrix step sizes proportional to G_t^(-1/(p+1)).
 
     ``eta`` defaults to b / sqrt(2), the value that is optimal at p = 1.
@@ -134,7 +136,7 @@ def pnorm(fset, p=DEFAULT_P, x1=None, b=None, eta=None, epsilon=DEFAULT_EPSILON)
     when the final accumulator is known in advance.
     """
     return _eta_scaled(
-        "pnorm", lambda eta: PNormPotential(eta=eta, p=p), RegularizerDomain.FULL, fset, x1, b,
+        "pnorm", lambda eta: PNormPotential(eta=eta, p=p), RegularizerDomain.FULL, fset, b,
         "b", "euclidean", epsilon, eta, p=p,
     )
 
@@ -159,17 +161,17 @@ def oblivious_final_spectrum(problem, fset, horizon, epsilon=DEFAULT_EPSILON):
     return np.linalg.eigvalsh(g_sum)
 
 
-def _ons_like(algo_id, domain, fset, beta, x1, b, gamma) -> Preset:
+def _ons_like(algo_id, domain, fset, beta, b, gamma) -> Preset:
     if not (beta > 0 and math.isfinite(beta)):
         raise ConfigError(f"beta must be positive and finite, got {beta}")
     b = _diameter(fset, b, "euclidean", "b")
     d = fset.dim
-    epsilon = d / (beta**2 * b**2)
+    epsilon = derived_constant("epsilon = d / (beta^2 b^2)", lambda: d / (beta**2 * b**2))
     config = AdaRegConfig(
         potential=OnsPotential(beta=beta),
         domain=domain,
         feasible_set=fset,
-        x1=_resolve_x1(fset, x1),
+        x1=fset.center_point(),
         g0=SymmetricMatrix.identity(d, epsilon),
     )
     params = {"beta": beta, "b": b, "d": d}
@@ -178,17 +180,17 @@ def _ons_like(algo_id, domain, fset, beta, x1, b, gamma) -> Preset:
     return Preset(algo_id, config, params)
 
 
-def ons_full(fset, beta, x1=None, b=None, gamma=None) -> Preset:
+def ons_full(fset, beta, b=None, gamma=None) -> Preset:
     """Full-matrix inverse-accumulator steps for exp-concave losses."""
-    return _ons_like("ons-full", RegularizerDomain.FULL, fset, beta, x1, b, gamma)
+    return _ons_like("ons-full", RegularizerDomain.FULL, fset, beta, b, gamma)
 
 
-def ons_diag(fset, beta, x1=None, b=None, gamma=None) -> Preset:
+def ons_diag(fset, beta, b=None, gamma=None) -> Preset:
     """Diagonal inverse-accumulator steps for coordinatewise exp-concave losses."""
-    return _ons_like("ons-diag", RegularizerDomain.DIAGONAL, fset, beta, x1, b, gamma)
+    return _ons_like("ons-diag", RegularizerDomain.DIAGONAL, fset, beta, b, gamma)
 
 
-def sc_ogd(fset, alpha, gamma, x1=None) -> Preset:
+def sc_ogd(fset, alpha, gamma) -> Preset:
     """Gradient descent with the 1/t-style step schedule for strongly convex losses.
 
     The scalar step at round t is (d / beta) / (eps + sum of squared
@@ -199,13 +201,13 @@ def sc_ogd(fset, alpha, gamma, x1=None) -> Preset:
     if not (gamma > 0 and math.isfinite(gamma)):
         raise ConfigError(f"gamma must be positive and finite, got {gamma}")
     d = fset.dim
-    beta = alpha * d / gamma**2
-    epsilon = gamma**2
+    beta = derived_constant("beta = alpha d / gamma^2", lambda: alpha * d / gamma**2)
+    epsilon = derived_constant("epsilon = gamma^2", lambda: gamma**2)
     config = AdaRegConfig(
         potential=OnsPotential(beta=beta),
         domain=RegularizerDomain.ISOTROPIC,
         feasible_set=fset,
-        x1=_resolve_x1(fset, x1),
+        x1=fset.center_point(),
         g0=SymmetricMatrix.identity(d, epsilon / d),
     )
     return Preset("sc-ogd", config, {"alpha": alpha, "gamma": gamma, "beta": beta, "d": d})

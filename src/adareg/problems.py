@@ -7,17 +7,20 @@ decision variable, which lets the cumulative objective be collapsed to
 closed-form coefficients and the best fixed comparator be computed
 either exactly or by a short projected solve.
 
-Families:
+Families, whose scales are fixed (``make_problem`` forwards only
+adv-linear's gradient norm ``gamma``):
 
 * ``adv-linear``: linear losses with adversarial sign patterns,
   f_t(x) = g_t . x with g_t a scaled random sign vector.  Gradients do
   not depend on the iterate (an oblivious stream).
 * ``rot-quad``: quadratics 1/2 (x - z_t)' A_t (x - z_t) with randomly
-  rotated curvature; strongly convex.
-* ``sq-loss``: squared prediction losses (w_t . x - y_t)^2 on a ball;
-  exp-concave because predictions are bounded.
-* ``coord-sq``: sums of per-coordinate squared losses on a box;
-  coordinatewise exp-concave.
+  rotated curvature, the spectrum of A_t in [0.5, 2]; strongly convex
+  with alpha = 0.5.
+* ``sq-loss``: squared prediction losses (w_t . x - y_t)^2 on a ball,
+  with |w_t| in [0.5, 1], label noise of at most 0.05 and a target at
+  0.7 of the radius; exp-concave because predictions are bounded.
+* ``coord-sq``: sums of per-coordinate squared losses on a box, with
+  labels in [-0.5, 0.5]; coordinatewise exp-concave.
 
 Round data does not depend on the iterate, so it is drawn in blocks:
 ``round_block(t0, t1)`` returns a family's factors stacked over the
@@ -68,6 +71,7 @@ from .sets import Ball, Box, minimize_quadratic_over_set, project
 
 GRAD_NORM_SLACK = 1e-9
 _VALIDATION_ROUNDS = 32
+_INEQUALITY_RTOL = 1e-9
 # Rounds per drawn block.  It bounds the round data a problem holds (64 d x d
 # matrices for rot-quad) whatever the horizon.  Blocks are kept small because
 # memory, not speed, sets the size: 32, 64 and 256 rounds ran scalar-d5 equally
@@ -76,13 +80,14 @@ _VALIDATION_ROUNDS = 32
 BLOCK_ROUNDS = 64
 
 
-def _sample_inequality(f, penalty, fset, n_samples, rng, tol):
+def _sample_inequality(f, penalty, fset, n_samples, rng) -> bool:
     """Shared loop: first-order gap must dominate the curvature penalty.
 
     Checks f(x) - f(y) <= grad_f(x) . (x - y) - penalty(grad, x - y) over
-    sampled pairs.  Returns (ok, witness) where witness is the violating
-    pair, if any.
+    sampled pairs, to a relative tolerance of :data:`_INEQUALITY_RTOL`.
+    ``rng`` defaults to a generator seeded with 0.
     """
+    rng = rng if rng is not None else np.random.default_rng(0)
     for _ in range(n_samples):
         x = fset.sample(rng)
         y = fset.sample(rng)
@@ -90,36 +95,28 @@ def _sample_inequality(f, penalty, fset, n_samples, rng, tol):
         fy, _ = f(y)
         lhs = fx - fy
         rhs = float(gx @ (x - y)) - penalty(gx, x - y)
-        if lhs - rhs > tol * (1.0 + abs(rhs)):
-            return False, (x, y)
-    return True, None
+        if lhs - rhs > _INEQUALITY_RTOL * (1.0 + abs(rhs)):
+            return False
+    return True
 
 
-def check_strongly_convex(f, alpha, fset, n_samples=1000, rng=None, tol=1e-9):
+def check_strongly_convex(f, alpha, fset, n_samples=1000, rng=None):
     """Sampled test of the strong-convexity inequality with modulus alpha."""
-    rng = rng if rng is not None else np.random.default_rng(0)
-    ok, _ = _sample_inequality(
-        f, lambda g, d: 0.5 * alpha * float(d @ d), fset, n_samples, rng, tol
-    )
-    return ok
+    return _sample_inequality(f, lambda g, d: 0.5 * alpha * float(d @ d), fset, n_samples, rng)
 
 
-def check_exp_concave(f, beta, fset, n_samples=1000, rng=None, tol=1e-9):
+def check_exp_concave(f, beta, fset, n_samples=1000, rng=None):
     """Sampled test of exp-concavity in the first-order (gradient) form."""
-    rng = rng if rng is not None else np.random.default_rng(0)
-    ok, _ = _sample_inequality(
-        f, lambda g, d: 0.5 * beta * float(g @ d) ** 2, fset, n_samples, rng, tol
+    return _sample_inequality(
+        f, lambda g, d: 0.5 * beta * float(g @ d) ** 2, fset, n_samples, rng
     )
-    return ok
 
 
-def check_coordinatewise_exp_concave(f, beta, fset, n_samples=1000, rng=None, tol=1e-9):
+def check_coordinatewise_exp_concave(f, beta, fset, n_samples=1000, rng=None):
     """Sampled test of the coordinatewise (entrywise-squared) variant."""
-    rng = rng if rng is not None else np.random.default_rng(0)
-    ok, _ = _sample_inequality(
-        f, lambda g, d: 0.5 * beta * float((g * g) @ (d * d)), fset, n_samples, rng, tol
+    return _sample_inequality(
+        f, lambda g, d: 0.5 * beta * float((g * g) @ (d * d)), fset, n_samples, rng
     )
-    return ok
 
 
 class OnlineProblem:
@@ -363,22 +360,20 @@ class AdvLinearProblem(BlockedProblem):
 class RotQuadProblem(BlockedProblem):
     """Randomly rotated quadratics 1/2 (x - z_t)' A_t (x - z_t).
 
-    Eigenvalues of A_t lie in [alpha, alpha * kappa] and z_t is drawn
-    from the (bounded) feasible set, so gradients are bounded by
+    Eigenvalues of A_t lie in [alpha, alpha * kappa] = [0.5, 2] and z_t is
+    drawn from the (bounded) feasible set, so gradients are bounded by
     alpha * kappa times the set diameter.
     """
 
     problem_id = "rot-quad"
+    kappa = 4.0
 
-    def __init__(self, dim, seed, feasible_set, alpha=0.5, kappa=4.0):
+    def __init__(self, dim, seed, feasible_set):
         if not feasible_set.is_bounded():
             raise ValidationError("rot-quad requires a bounded feasible set")
-        if not (alpha > 0 and kappa >= 1.0):
-            raise ValidationError("rot-quad needs alpha > 0 and kappa >= 1")
-        diameter = feasible_set.diameter("euclidean")
-        gamma = alpha * kappa * diameter
+        alpha = 0.5
+        gamma = alpha * self.kappa * feasible_set.diameter("euclidean")
         super().__init__(dim, seed, feasible_set, gamma=gamma, alpha=alpha)
-        self.kappa = float(kappa)
 
     def round_block(self, t0, t1):
         """(A, z) with A (n, d, d) and z (n, d)."""
@@ -421,36 +416,31 @@ class SqLossProblem(BlockedProblem):
     """Squared prediction losses (w_t . x - y_t)^2 on a ball.
 
     The labels carry a learnable signal: y_t = w_t . x_true + noise with
-    x_true a seed-fixed point at target_scale times the radius and noise
-    uniform in [-y_scale, y_scale].  With |w_t| <= w_scale and the ball
-    bounding |x| <= reach, predictions satisfy |w . x - y| <= m where
-    m = w_scale * reach + max|y|, which makes the loss exp-concave with
-    beta = 1 / (2 m^2) and gradients bounded by gamma = 2 m w_scale.
+    x_true a seed-fixed point at 0.7 times the radius and noise uniform in
+    [-y_scale, y_scale], y_scale = 0.05.  With |w_t| in [w_scale / 2,
+    w_scale], w_scale = 1, and the ball bounding |x| <= reach, predictions
+    satisfy |w . x - y| <= m where m = w_scale * reach + max|y|, which makes
+    the loss exp-concave with beta = 1 / (2 m^2) and gradients bounded by
+    gamma = 2 m w_scale.
     """
 
     problem_id = "sq-loss"
     oblivious = False
+    w_scale = 1.0
+    y_scale = 0.05
 
-    def __init__(
-        self, dim, seed, feasible_set, w_scale=1.0, y_scale=0.05, target_scale=0.7
-    ):
+    def __init__(self, dim, seed, feasible_set):
         if not isinstance(feasible_set, Ball):
             raise ValidationError("sq-loss requires a ball feasible set")
-        if not (w_scale > 0 and y_scale >= 0):
-            raise ValidationError("sq-loss needs w_scale > 0 and y_scale >= 0")
-        if not 0.0 <= target_scale <= 1.0:
-            raise ValidationError("sq-loss needs target_scale in [0, 1]")
         reach = float(np.linalg.norm(feasible_set.center)) + feasible_set.radius
         direction = np.random.default_rng([seed, 0xFACE]).standard_normal(dim)
         direction /= max(np.linalg.norm(direction), 1e-300)
-        x_true = feasible_set.center + target_scale * feasible_set.radius * direction
-        y_bound = w_scale * float(np.linalg.norm(x_true)) + y_scale
-        m = w_scale * reach + y_bound
+        x_true = feasible_set.center + 0.7 * feasible_set.radius * direction
+        y_bound = self.w_scale * float(np.linalg.norm(x_true)) + self.y_scale
+        m = self.w_scale * reach + y_bound
         super().__init__(
-            dim, seed, feasible_set, gamma=2.0 * m * w_scale, beta=1.0 / (2.0 * m**2)
+            dim, seed, feasible_set, gamma=2.0 * m * self.w_scale, beta=1.0 / (2.0 * m**2)
         )
-        self.w_scale = float(w_scale)
-        self.y_scale = float(y_scale)
         self.target = x_true
         self.margin = m
 
@@ -488,16 +478,20 @@ class SqLossProblem(BlockedProblem):
 
 
 class CoordSqProblem(BlockedProblem):
-    """Separable per-coordinate squared losses sum_i (w_ti x_i - y_ti)^2 on a box."""
+    """Separable per-coordinate squared losses sum_i (w_ti x_i - y_ti)^2 on a box.
+
+    w_ti is uniform in [-1, 1] and y_ti in [-y_scale, y_scale], y_scale = 0.5.
+    """
 
     problem_id = "coord-sq"
     oblivious = False
+    y_scale = 0.5
 
-    def __init__(self, dim, seed, feasible_set, y_scale=0.5):
+    def __init__(self, dim, seed, feasible_set):
         if not isinstance(feasible_set, Box):
             raise ValidationError("coord-sq requires a box feasible set")
         reach = np.maximum(np.abs(feasible_set.lower), np.abs(feasible_set.upper))
-        margins = reach + y_scale
+        margins = reach + self.y_scale
         gamma = 2.0 * float(np.linalg.norm(margins))
         super().__init__(
             dim,
@@ -506,7 +500,6 @@ class CoordSqProblem(BlockedProblem):
             gamma=gamma,
             beta_coo=1.0 / (2.0 * float(np.max(margins)) ** 2),
         )
-        self.y_scale = float(y_scale)
         self.margins = margins
 
     def round_block(self, t0, t1):
@@ -565,17 +558,17 @@ def make_problem(problem_id, dim, seed, feasible_set, validate=True, **params):
     return problem
 
 
-def best_fixed_comparator(problem, horizon, fset=None, gap_tol=1e-8):
-    """The best fixed feasible point in hindsight, plus a flatness flag.
+def best_fixed_comparator(problem, horizon):
+    """The best fixed point of ``problem.feasible_set`` in hindsight, plus a flatness flag.
 
     Returns ``(x_star, flat)``.  ``flat`` is True when the cumulative
     objective is constant to working precision (so every feasible point
     is a comparator).  Exact closed forms are used for the linear and
     positive-definite quadratic cases; singular quadratics fall back to
-    an accelerated projected-gradient solve with objective gap at most
-    ``gap_tol``.
+    an accelerated projected-gradient solve with relative objective gap
+    at most 1e-8.
     """
-    fset = fset if fset is not None else problem.feasible_set
+    fset = problem.feasible_set
     a_mat, b_vec, _ = problem.cumulative_quadratic(horizon)
     grad_scale = 1.0 + horizon * problem.gamma
     if not np.any(a_mat):
@@ -593,10 +586,7 @@ def best_fixed_comparator(problem, horizon, fset=None, gap_tol=1e-8):
         if fset.contains(x_hat, tol=1e-12):
             return x_hat, False
         return project(x_hat, fset, SymmetricMatrix(a_mat)), False
-    x_star = minimize_quadratic_over_set(
-        a_mat, b_vec, fset, gap_tol=gap_tol, max_iter=100_000, residual_tol=None
-    )
-    return x_star, False
+    return minimize_quadratic_over_set(a_mat, b_vec, fset, gap_tol=1e-8, residual_tol=None), False
 
 
 @dataclass

@@ -29,6 +29,8 @@ from .problems import best_fixed_comparator, make_problem, regret
 from .sets import Ball, Box
 
 SUITE_NAMES = ("lemmas", "argmin", "bounds", "matrix")
+_ARGMIN_RTOL = 1e-4
+_PSD_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -42,20 +44,20 @@ class Failure:
         return f"FAIL suite={self.suite} case={self.case} seed={self.seed} detail={self.detail}"
 
 
-def random_pd_matrix(rng, dim, lo=0.3, hi=3.0) -> SymmetricMatrix:
-    """Random positive-definite matrix with log-uniform spectrum in [lo, hi]."""
+def random_pd_matrix(rng, dim) -> SymmetricMatrix:
+    """Random positive-definite matrix with log-uniform spectrum in [0.3, 3]."""
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    lam = np.exp(rng.uniform(np.log(lo), np.log(hi), size=dim))
+    lam = np.exp(rng.uniform(np.log(0.3), np.log(3.0), size=dim))
     return SymmetricMatrix(SpectralDecomposition(lam, q).dense())
 
 
-def random_psd_matrix(rng, dim, rank=None) -> SymmetricMatrix:
-    rank = rank if rank is not None else dim
-    w = rng.standard_normal((dim, rank))
-    return SymmetricMatrix(w @ w.T / rank)
+def random_psd_matrix(rng, dim) -> SymmetricMatrix:
+    """Random positive-semidefinite matrix W W' / dim with W a dim x dim Gaussian."""
+    w = rng.standard_normal((dim, dim))
+    return SymmetricMatrix(w @ w.T / dim)
 
 
-def lemma_suite(trials: int = 1000, seed: int = 0, tol: float = 1e-8) -> List[Failure]:
+def lemma_suite(trials: int = 1000, seed: int = 0) -> List[Failure]:
     """Prefix-minimizer inequality sweep plus mirror-descent trajectory checks."""
     failures = []
     rng = np.random.default_rng(seed)
@@ -63,12 +65,12 @@ def lemma_suite(trials: int = 1000, seed: int = 0, tol: float = 1e-8) -> List[Fa
         horizon = int(rng.integers(1, 21))
         dim = int(rng.integers(1, 4))
         inst = oracles.random_quadratic_instance(rng, horizon, dim)
-        ok, slack = oracles.ftl_btl_check(inst, tol=tol)
+        ok, slack = oracles.ftl_btl_check(inst)
         if not ok:
             failures.append(Failure("lemmas", f"leader-quad[{i}]", seed, f"slack={slack:.3e}"))
     for i in range(max(1, trials // 4)):
         inst = oracles.random_kink_instance(rng, int(rng.integers(1, 21)))
-        ok, slack = oracles.ftl_btl_check(inst, tol=tol)
+        ok, slack = oracles.ftl_btl_check(inst)
         if not ok:
             failures.append(Failure("lemmas", f"leader-kink[{i}]", seed, f"slack={slack:.3e}"))
     n_runs = max(2, min(12, trials // 80))
@@ -81,7 +83,7 @@ def lemma_suite(trials: int = 1000, seed: int = 0, tol: float = 1e-8) -> List[Fa
         x_star, _ = best_fixed_comparator(problem, 120)
         refs = [x_star] + [fset.sample(rng) for _ in range(3)]
         for j, ref in enumerate(refs):
-            ok, worst, cum = oracles.mirror_descent_lemma_check(result, ref, tol=tol)
+            ok, worst, cum = oracles.mirror_descent_lemma_check(result, ref)
             if not ok:
                 failures.append(
                     Failure(
@@ -107,7 +109,7 @@ def _argmin_cases():
     )
 
 
-def argmin_suite(trials: int = 20, seed: int = 0, tol: float = 1e-4) -> List[Failure]:
+def argmin_suite(trials: int = 20, seed: int = 0) -> List[Failure]:
     """Closed-form regularizer choice versus the from-scratch numeric argmin."""
     failures = []
     rng = np.random.default_rng(seed)
@@ -126,13 +128,13 @@ def argmin_suite(trials: int = 20, seed: int = 0, tol: float = 1e-4) -> List[Fai
                     )
                     continue
                 rel = np.linalg.norm(numeric.mat - closed.mat) / np.linalg.norm(closed.mat)
-                if rel > tol:
+                if rel > _ARGMIN_RTOL:
                     failures.append(
                         Failure(
                             "argmin",
                             f"{kind}-{domain.value}[{i}]",
                             seed,
-                            f"relative distance {rel:.3e} exceeds {tol:.1e}",
+                            f"relative distance {rel:.3e} exceeds {_ARGMIN_RTOL:.1e}",
                         )
                     )
     return failures
@@ -150,12 +152,9 @@ def _matched_setups(dim=5):
     }
 
 
-def build_matched_preset(algo_id, fset, problem, p=None, horizon=None):
-    """Preset wired to a problem's declared constants (tuned eta for pnorm).
-
-    ``p`` is pnorm's exponent; the default ``None`` leaves every preset's own.
-    """
-    return presets.build_preset(algo_id, fset, problem, horizon=horizon, p=p)
+def build_matched_preset(algo_id, fset, problem, horizon=None):
+    """Preset wired to a problem's declared constants (tuned eta for pnorm)."""
+    return presets.build_preset(algo_id, fset, problem, horizon=horizon)
 
 
 def bounds_suite(
@@ -200,7 +199,7 @@ def _bounds_case(algo_id, problem_id, fset, run_seed, horizon, fault) -> Optiona
     return None
 
 
-def matrix_suite(trials: int = 500, seed: int = 0, tol: float = 1e-8) -> List[Failure]:
+def matrix_suite(trials: int = 500, seed: int = 0) -> List[Failure]:
     """Operator-monotonicity sweep, its alpha = 2 counterexample, trace products."""
     failures = []
     rng = np.random.default_rng(seed)
@@ -209,7 +208,8 @@ def matrix_suite(trials: int = 500, seed: int = 0, tol: float = 1e-8) -> List[Fa
         b_mat = random_psd_matrix(rng, dim)
         a_mat = SymmetricMatrix(b_mat.mat + random_psd_matrix(rng, dim).mat)
         for alpha in (0.25, 0.5, 1.0):
-            if not psd_geq(matrix_power_psd(a_mat, alpha), matrix_power_psd(b_mat, alpha), tol):
+            a_pow, b_pow = matrix_power_psd(a_mat, alpha), matrix_power_psd(b_mat, alpha)
+            if not psd_geq(a_pow, b_pow, _PSD_TOL):
                 failures.append(
                     Failure(
                         "matrix",
@@ -220,16 +220,16 @@ def matrix_suite(trials: int = 500, seed: int = 0, tol: float = 1e-8) -> List[Fa
                 )
     a_mat = SymmetricMatrix(np.array([[2.0, 1.0], [1.0, 1.0]]))
     b_mat = SymmetricMatrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    if not psd_geq(a_mat, b_mat, tol):
+    if not psd_geq(a_mat, b_mat, _PSD_TOL):
         failures.append(Failure("matrix", "counterexample-premise", seed, "A - B not psd"))
-    if psd_geq(matrix_power_psd(a_mat, 2.0), matrix_power_psd(b_mat, 2.0), tol):
+    if psd_geq(matrix_power_psd(a_mat, 2.0), matrix_power_psd(b_mat, 2.0), _PSD_TOL):
         failures.append(
             Failure("matrix", "counterexample", seed, "squaring preserved the ordering")
         )
     for i in range(max(1, trials // 5)):
         g_mat = random_psd_matrix(rng, int(rng.integers(2, 7)))
         for p in (0.5, 2.0, 4.0):
-            ok, slack = oracles.trace_product_check(g_mat, p, tol=1e-9)
+            ok, slack = oracles.trace_product_check(g_mat, p)
             if not ok:
                 failures.append(
                     Failure("matrix", f"trace-product[{i}] p={p}", seed, f"slack={slack:.3e}")
